@@ -150,7 +150,10 @@ type result = {
   drops : int;
   data_wire_bytes : Util.Units.bytes;
   control_wire_bytes : Util.Units.bytes;
-  recomputes : int;  (** rate recomputation rounds executed *)
+  recomputes : int;
+      (** allocations computed: one per dirty epoch under [Global_epoch];
+          under [Per_node], one per distinct believed flow set per dirty
+          epoch — senders with equal sets share it *)
   rate_updates : (int * Util.Units.gbps) list;
       (** (time ns, allocated rate) samples *)
   reselections : int;  (** §3.4 routing-reselection rounds executed *)
@@ -358,9 +361,16 @@ val node_view_ids : t -> node:int -> int list
 (** The flow ids in the node's view, ascending (Per_node only). *)
 
 val node_allocations : t -> node:int -> (int * Util.Units.byte_rate) array
-(** The full rate vector the node computes from its current view — every
-    flow it believes exists, in ascending id order. Nodes with identical
-    views return byte-identical vectors (Per_node only). *)
+(** The full rate vector the node applies in its rate epoch — every flow it
+    believes exists (its view plus its own still-sending flows), in
+    ascending id order. Nodes with identical views return byte-identical
+    vectors (Per_node only). *)
+
+module Flow_sets : Hashtbl.S with type key = int array
+(** Believed flow sets (ascending ids) compared as exact arrays: the key
+    of the memo through which a Per_node rate epoch allocates once per
+    distinct set. Buckets hash like {!view_hash}, but sets colliding on it
+    stay distinct keys. *)
 
 val loss_ewma : t -> Util.Units.fraction
 val effective_headroom : t -> Util.Units.fraction

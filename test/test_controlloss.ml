@@ -378,6 +378,103 @@ let identical_allocations_after_2pct_loss () =
   Alcotest.(check int) "all flows complete" h
     (Sim.Metrics.completed_count (Sim.R2c2_sim.metrics t))
 
+(* The [permutation] pairs with sizes from 100 KB to 1.7 MB, so finishes
+   spread over a dozen rate epochs. *)
+let staggered_permutation t topo =
+  let h = Topology.host_count topo in
+  for i = 0 to h - 1 do
+    ignore
+      (Sim.R2c2_sim.start_flow t ~src:i ~dst:((i + (h / 2) + 1) mod h)
+         ~size:(100_000 + (i * 37 mod h * 25_000)))
+  done
+
+(* Byte-exact snapshot of a lossy Per_node run on a 4x4x4 torus: per-flow
+   records, the goodput series and every sampled rate update. At 2%
+   control loss the nodes' views disagree in most of the staggered
+   permutation's epochs, up to 14 distinct believed flow sets in one.
+   [recomputes] is left out: it counts allocations computed, which
+   depends on how many senders share a set, not on what they apply. *)
+let per_node_snapshot () =
+  let topo = Topology.torus [| 4; 4; 4 |] in
+  let t = Sim.R2c2_sim.create (sim_cfg ~loss:0.02 ()) topo in
+  Sim.Metrics.set_goodput_bucket (Sim.R2c2_sim.metrics t) ~bucket_ns:10_000;
+  staggered_permutation t topo;
+  Sim.R2c2_sim.run_engine t;
+  let r = Sim.R2c2_sim.results t in
+  let buf = Buffer.create 16384 in
+  List.iter
+    (fun (f : Sim.Metrics.flow) ->
+      Buffer.add_string buf
+        (Printf.sprintf "flow %d %d->%d size=%d t0=%d tx=%d del=%d fin=%d ro=%d\n" f.id f.src
+           f.dst f.size f.arrival_ns f.start_tx_ns f.delivered f.finish_ns f.reorder_max))
+    (Sim.Metrics.all r.Sim.R2c2_sim.metrics);
+  Array.iter
+    (fun (ns, b) -> Buffer.add_string buf (Printf.sprintf "goodput %d %d\n" ns b))
+    (Sim.Metrics.goodput_series r.Sim.R2c2_sim.metrics);
+  List.iter
+    (fun (ns, gbps) ->
+      Buffer.add_string buf (Printf.sprintf "rate %d %.17g\n" ns (Util.Units.to_float gbps)))
+    r.Sim.R2c2_sim.rate_updates;
+  (Buffer.contents buf, r)
+
+(* Golden pin of [per_node_snapshot], captured before the per-epoch
+   allocations were shared between nodes with the same believed flow set:
+   sharing them must not move a single rate or finish time. *)
+let per_node_golden_pin () =
+  let s, r = per_node_snapshot () in
+  Alcotest.(check bool) "loss fired" true (r.Sim.R2c2_sim.ctrl_lost > 0);
+  Alcotest.(check int) "all flows complete" 64
+    (Sim.Metrics.completed_count r.Sim.R2c2_sim.metrics);
+  Alcotest.(check int) "snapshot length" 19176 (String.length s);
+  Alcotest.(check string) "snapshot digest" "00bb839ab499dac91fa67ef059c89903"
+    (Digest.to_hex (Digest.string s))
+
+(* Senders whose believed flow sets agree share one allocation per epoch.
+   On this clean run views disagree only while a finish broadcast is in
+   flight, so it computes 17 allocations where one per sender per dirty
+   epoch made 393; a fallback to per-sender allocation fails both checks. *)
+let per_node_shares_allocations () =
+  let topo = Topology.torus [| 4; 4; 4 |] in
+  let t = Sim.R2c2_sim.create (sim_cfg ()) topo in
+  staggered_permutation t topo;
+  Sim.R2c2_sim.run_engine t;
+  let r = Sim.R2c2_sim.results t in
+  let h = Topology.host_count topo in
+  Alcotest.(check int) "all flows complete" h (Sim.Metrics.completed_count r.Sim.R2c2_sim.metrics);
+  Alcotest.(check bool) "fewer allocations than senders" true (r.Sim.R2c2_sim.recomputes < h);
+  Alcotest.(check int) "allocations computed" 17 r.Sim.R2c2_sim.recomputes
+
+(* Two sorted id arrays with equal FNV-1a view hashes: solve the second
+   array's last id so the two hash states meet after it. *)
+let view_hash_collision () =
+  let step h v = Int64.mul (Int64.logxor h (Int64.of_int v)) 0x100000001B3L in
+  let start = 0xCBF29CE484222325L in
+  let a = 1 and b = 2 in
+  let rec find a' =
+    let last = Int64.logxor (Int64.of_int b) (Int64.logxor (step start a) (step start a')) in
+    (* [last] must be a non-negative OCaml int above [a']. *)
+    if Int64.shift_right_logical last 62 = 0L && Int64.to_int last > a' then
+      [| a'; Int64.to_int last |]
+    else find (a' + 1)
+  in
+  ([| a; b |], find (a + 1))
+
+let flow_set_memo_keys_on_exact_ids () =
+  let k1, k2 = view_hash_collision () in
+  Alcotest.(check bool) "distinct sets" true (k1 <> k2);
+  Alcotest.(check int64) "same view hash"
+    (Rbcast.hash_ids (Array.to_list k1))
+    (Rbcast.hash_ids (Array.to_list k2));
+  let memo = Sim.R2c2_sim.Flow_sets.create 4 in
+  Sim.R2c2_sim.Flow_sets.replace memo k1 "k1";
+  Sim.R2c2_sim.Flow_sets.replace memo k2 "k2";
+  Alcotest.(check int) "colliding sets are distinct keys" 2
+    (Sim.R2c2_sim.Flow_sets.length memo);
+  Alcotest.(check (option string)) "equal set hits" (Some "k1")
+    (Sim.R2c2_sim.Flow_sets.find_opt memo (Array.copy k1));
+  Alcotest.(check (option string)) "colliding set keeps its own value" (Some "k2")
+    (Sim.R2c2_sim.Flow_sets.find_opt memo k2)
+
 (* With a replay log too small to answer NACKs, the origin must fall back
    to full-state sync — and the rack still reconverges. *)
 let evicted_replay_falls_back_to_sync () =
@@ -425,6 +522,9 @@ let suites =
         tc "reconverges under 5% loss" reconverges_under_5pct_loss;
         tc "duplicates are absorbed" duplicates_are_absorbed;
         tc "identical allocations after 2% loss" identical_allocations_after_2pct_loss;
+        tc "Per_node golden pin" per_node_golden_pin;
+        tc "Per_node shares allocations" per_node_shares_allocations;
+        tc "flow-set memo keys on exact ids" flow_set_memo_keys_on_exact_ids;
         tc "evicted replay falls back to sync" evicted_replay_falls_back_to_sync;
         tc "blackhole splits control and data" blackhole_splits_control_and_data;
       ] );
