@@ -1,40 +1,56 @@
 (* Hot-path micro-benchmark: raw packet throughput of the simulator's data
-   plane (writes BENCH_hotpath.json).
+   plane and of broadcast forwarding (writes BENCH_hotpath.json).
 
-   512 single-hop streams on the 8x8x8 torus — the 512-node rack the paper
-   sizes R2C2 for — each keeping a fixed window of packets in flight; every
-   delivery immediately injects the next packet of its stream, so the
-   engine spends all its time in the
+   Data phase: 512 single-hop streams on the 8x8x8 torus — the 512-node
+   rack the paper sizes R2C2 for — each keeping a fixed window of packets
+   in flight; every delivery immediately injects the next packet of its
+   stream, so the engine spends all its time in the
    enqueue -> serialize -> propagate -> arrive cycle that dominates every
    experiment, with ~1k events pending (the regime where the old binary
-   heap paid its O(log n)). Reported: wall-clock packets per second and minor heap words
-   allocated per packet in steady state (measured after a warmup tranche so
-   one-time setup allocation is excluded).
+   heap paid its O(log n)).
 
-   [baseline_pps] is the packets/sec of this same driver measured at the
-   commit before the zero-allocation data plane landed (record-per-packet
-   Net, binary-heap engine); the JSON reports the speedup against it. The
-   CI `hotpath-smoke` job fails the run if steady-state allocation exceeds
-   [alloc_budget] words per packet. *)
+   Broadcast phase: rounds in which every vertex roots one broadcast on
+   tree [round mod trees_per_source], so each round is 512 x 511 hops of
+   FIB lookup and fan-out.
+
+   Reported per phase: wall-clock packets (hops) per second and minor heap
+   words allocated per packet (hop) in steady state, measured after a
+   warmup so one-time setup allocation (pools, queues, trees) is excluded.
+   The rates of the BENCH_hotpath.json being overwritten are reported
+   next to the new ones. The run exits non-zero if either phase allocates
+   more than [alloc_budget] words per packet — the CI `hotpath-smoke`
+   gate. *)
 
 let streams = 512
 let window = 32
 let pkt_bytes = 1500
-
-(* Pre-PR measurement of this driver (torus 8x8x8, 512 streams, window 32,
-   1500 B packets): record-packet Net + binary-heap engine delivered
-   ~1.27 M packets/s at ~61 minor words per packet. *)
-let baseline_pps = 1_270_000.0
 let alloc_budget = 2.0
+let report = "BENCH_hotpath.json"
 
-let run ~quick () =
+let topo () = Topology.torus [| 8; 8; 8 |]
+
+let make_net topo =
+  let eng = Sim.Engine.create () in
+  (eng, Sim.Net.create eng topo ~link_gbps:(Util.Units.gbps 100.0) ~hop_latency_ns:100 ())
+
+(* [field] of the report this run is about to overwrite, if it has one. *)
+let previous field =
+  match In_channel.with_open_text report In_channel.input_lines with
+  | exception Sys_error _ -> None
+  | lines ->
+      List.find_map
+        (fun line ->
+          Option.join
+            (Scanf.sscanf_opt line " \"%s@\": %f" (fun k v -> if k = field then Some v else None)))
+        lines
+
+let json_opt = function Some x -> Printf.sprintf "%.0f" x | None -> "null"
+
+(* Returns (packets measured, packets/s, minor words per packet). *)
+let data_phase ~quick =
   let per_stream = if quick then 2_000 else 20_000 in
   let warmup = per_stream / 10 in
-  let topo = Topology.torus [| 8; 8; 8 |] in
-  let eng = Sim.Engine.create () in
-  let net =
-    Sim.Net.create eng topo ~link_gbps:(Util.Units.gbps 100.0) ~hop_latency_ns:100 ()
-  in
+  let eng, net = make_net (topo ()) in
   (* Stream s runs from node s to its +x ring neighbor: always adjacent,
      and every stream owns a distinct link. *)
   let route_of s = [| s; (s - (s mod 8)) + (((s mod 8) + 1) mod 8) |] in
@@ -72,9 +88,43 @@ let run ~quick () =
   done;
   Sim.Engine.run eng;
   assert (!delivered = warm_total + total);
-  let elapsed = !t1 -. !t0 in
-  let pps = float_of_int total /. elapsed in
-  let words_per_pkt = (!w1 -. !w0) /. float_of_int total in
+  (total, float_of_int total /. (!t1 -. !t0), (!w1 -. !w0) /. float_of_int total)
+
+(* Returns (hops measured, hops/s, minor words per hop). *)
+let broadcast_phase ~quick =
+  let rounds = if quick then 8 else 40 in
+  let topo = topo () in
+  let eng, net = make_net topo in
+  let b = Broadcast.make topo in
+  Sim.Net.set_broadcast net b;
+  let hops = ref 0 in
+  Sim.Net.on_bcast_deliver net (fun _ ~node:_ -> incr hops);
+  let n = Topology.vertex_count topo and tps = Broadcast.trees_per_source b in
+  let round r =
+    for root = 0 to n - 1 do
+      Sim.Net.send_bcast net ~root ~tree:(r mod tps) ~bcast_id:r ~bytes:Wire.broadcast_size ()
+    done;
+    Sim.Engine.run eng
+  in
+  (* One warmup round per tree builds every FIB and grows the pools. *)
+  for r = 0 to tps - 1 do
+    round r
+  done;
+  let h0 = !hops in
+  let t0 = Unix.gettimeofday () and w0 = Gc.minor_words () in
+  for r = 0 to rounds - 1 do
+    round r
+  done;
+  let t1 = Unix.gettimeofday () and w1 = Gc.minor_words () in
+  let measured = !hops - h0 in
+  assert (measured = rounds * n * (n - 1));
+  (measured, float_of_int measured /. (t1 -. t0), (w1 -. w0) /. float_of_int measured)
+
+let run ~quick () =
+  let prev_pps = previous "packets_per_sec" in
+  let prev_bps = previous "broadcast_hops_per_sec" in
+  let total, pps, words_per_pkt = data_phase ~quick in
+  let bhops, bps, words_per_bhop = broadcast_phase ~quick in
   let json =
     Printf.sprintf
       "{\n\
@@ -86,20 +136,24 @@ let run ~quick () =
       \  \"packets_measured\": %d,\n\
       \  \"packets_per_sec\": %.0f,\n\
       \  \"minor_words_per_packet\": %.2f,\n\
-      \  \"baseline_packets_per_sec\": %.0f,\n\
-      \  \"speedup_vs_baseline\": %.1f,\n\
+      \  \"previous_packets_per_sec\": %s,\n\
+      \  \"broadcast_hops_measured\": %d,\n\
+      \  \"broadcast_hops_per_sec\": %.0f,\n\
+      \  \"minor_words_per_broadcast_hop\": %.2f,\n\
+      \  \"previous_broadcast_hops_per_sec\": %s,\n\
       \  \"alloc_budget_words_per_packet\": %.1f,\n\
       \  \"quick\": %b\n\
        }\n"
-      streams window pkt_bytes total pps words_per_pkt baseline_pps
-      (pps /. baseline_pps) alloc_budget quick
+      streams window pkt_bytes total pps words_per_pkt (json_opt prev_pps) bhops bps
+      words_per_bhop (json_opt prev_bps) alloc_budget quick
   in
-  let oc = open_out "BENCH_hotpath.json" in
-  output_string oc json;
-  close_out oc;
+  Out_channel.with_open_text report (fun oc -> output_string oc json);
   print_string json;
-  if words_per_pkt > alloc_budget then begin
-    Printf.eprintf "hotpath: %.2f minor words/packet exceeds the %.1f budget\n"
-      words_per_pkt alloc_budget;
-    exit 1
-  end
+  List.iter
+    (fun (what, words) ->
+      if words > alloc_budget then begin
+        Printf.eprintf "hotpath: %.2f minor words per %s exceeds the %.1f budget\n" words what
+          alloc_budget;
+        exit 1
+      end)
+    [ ("packet", words_per_pkt); ("broadcast hop", words_per_bhop) ]

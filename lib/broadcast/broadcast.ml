@@ -1,42 +1,38 @@
+(* The FIB of one (source, tree) is a single CSR int array. Its first
+   [n + 1] cells are offsets into the array itself: the link ids from
+   vertex [v] to its children sit at [fib.(v) .. fib.(v + 1) - 1], in
+   ascending child-vertex order. *)
 type tree = {
   parent : int array;
-  children : int list array;
+  fib : int array;
   depth : int;
-  hops : int array;
   mutable version : int;  (* Topology.version the tree was last validated against *)
 }
 
 type t = {
   topo : Topology.t;
   trees_per_source : int;
-  cache : (int, tree) Hashtbl.t;  (* key = src * trees_per_source + tree id *)
+  cache : tree option array;  (* index = src * trees_per_source + tree id *)
   mutable repairs : int;
   mutable repair_bytes : int;
 }
 
 let make ?(trees_per_source = 4) topo =
   if trees_per_source < 1 then invalid_arg "Broadcast.make: trees_per_source < 1";
-  { topo; trees_per_source; cache = Hashtbl.create 64; repairs = 0; repair_bytes = 0 }
+  {
+    topo;
+    trees_per_source;
+    cache = Array.make (Topology.vertex_count topo * trees_per_source) None;
+    repairs = 0;
+    repair_bytes = 0;
+  }
 
 let topo t = t.topo
 let trees_per_source t = t.trees_per_source
 let repairs t = t.repairs
 let repair_bytes t = t.repair_bytes
 
-let tree_hops parent ~root =
-  let n = Array.length parent in
-  let hops = Array.make n (-1) in
-  hops.(root) <- 0;
-  let rec hop v = if hops.(v) >= 0 then hops.(v) else begin
-      let h = hop parent.(v) + 1 in
-      hops.(v) <- h;
-      h
-    end
-  in
-  for v = 0 to n - 1 do
-    if parent.(v) >= 0 then ignore (hop v)
-  done;
-  hops
+let is_edge parent ~root v = v <> root && parent.(v) >= 0
 
 (* A tree is valid when every alive vertex reachable from the source is
    covered by an alive tree edge. Checking edges locally suffices: a broken
@@ -53,32 +49,60 @@ let check_tree t ~src parent =
       if !ok && v <> src && Topology.node_alive topo v && d.(v) < max_int then begin
         let p = parent.(v) in
         if p < 0 then ok := false
-        else
-          match Topology.find_link topo p v with
-          | Some l -> if not (Topology.link_alive topo l) then ok := false
-          | None -> ok := false
+        else begin
+          let l = Topology.find_link_id topo p v in
+          if l < 0 || not (Topology.link_alive topo l) then ok := false
+        end
       end
     done;
     !ok
   end
 
+(* Children are filled in ascending vertex order, the order
+   [Topology.tree_children] lists them in: forwarding order fixes the
+   engine's FIFO tie-break between the copies' same-instant events, so
+   changing it would move every simulated outcome. *)
+let build_fib topo parent ~root =
+  let n = Array.length parent in
+  let deg = Array.make n 0 in
+  let edges = ref 0 in
+  for v = 0 to n - 1 do
+    if is_edge parent ~root v then begin
+      deg.(parent.(v)) <- deg.(parent.(v)) + 1;
+      incr edges
+    end
+  done;
+  let fib = Array.make (n + 1 + !edges) 0 in
+  fib.(0) <- n + 1;
+  for v = 0 to n - 1 do
+    fib.(v + 1) <- fib.(v) + deg.(v)
+  done;
+  let next = Array.sub fib 0 n in
+  for v = 0 to n - 1 do
+    if is_edge parent ~root v then begin
+      let p = parent.(v) in
+      let l = Topology.find_link_id topo p v in
+      if l < 0 then invalid_arg "Broadcast: tree edge joins non-adjacent vertices";
+      fib.(next.(p)) <- l;
+      next.(p) <- next.(p) + 1
+    end
+  done;
+  fib
+
 let build_tree t ~src ~tree =
   let parent = Topology.shortest_path_tree t.topo ~root:src ~variant:tree in
-  let children = Topology.tree_children parent ~root:src in
-  let depth = Topology.tree_depth parent ~root:src in
-  let hops = tree_hops parent ~root:src in
-  { parent; children; depth; hops; version = Topology.version t.topo }
-
-let tree_edge_count tr ~root =
-  let n = ref 0 in
-  Array.iteri (fun v p -> if v <> root && p >= 0 then incr n) tr.parent;
-  !n
+  {
+    parent;
+    fib = build_fib t.topo parent ~root:src;
+    depth = Topology.tree_depth parent ~root:src;
+    version = Topology.version t.topo;
+  }
 
 let get_tree t ~src ~tree =
   if tree < 0 || tree >= t.trees_per_source then invalid_arg "Broadcast: tree id out of range";
   let key = (src * t.trees_per_source) + tree in
   let v = Topology.version t.topo in
-  match Hashtbl.find_opt t.cache key with
+  match t.cache.(key) with
   | Some tr when tr.version = v -> tr
   | Some tr when check_tree t ~src tr.parent ->
       (* Survived the failure untouched; just re-stamp. *)
@@ -88,19 +112,19 @@ let get_tree t ~src ~tree =
       (* Crosses a dead element: rebuild on the surviving graph and charge
          the FIB re-announcement (one broadcast-sized update per edge). *)
       let tr = build_tree t ~src ~tree in
+      let edges = Array.length tr.fib - Array.length tr.parent - 1 in
       t.repairs <- t.repairs + 1;
-      t.repair_bytes <- t.repair_bytes + (Wire.broadcast_size * tree_edge_count tr ~root:src);
-      Hashtbl.replace t.cache key tr;
+      t.repair_bytes <- t.repair_bytes + (Wire.broadcast_size * edges);
+      t.cache.(key) <- Some tr;
       tr
   | None ->
       let tr = build_tree t ~src ~tree in
-      Hashtbl.replace t.cache key tr;
+      t.cache.(key) <- Some tr;
       tr
 
 let tree_valid t ~src ~tree =
   if tree < 0 || tree >= t.trees_per_source then invalid_arg "Broadcast: tree id out of range";
-  let key = (src * t.trees_per_source) + tree in
-  match Hashtbl.find_opt t.cache key with
+  match t.cache.((src * t.trees_per_source) + tree) with
   | Some tr -> tr.version = Topology.version t.topo || check_tree t ~src tr.parent
   | None -> Topology.node_alive t.topo src
 
@@ -114,24 +138,39 @@ let surviving_tree t ~src =
 
 let repair_all t =
   let before = t.repairs in
-  Array.iter
-    (fun key ->
-      let src = key / t.trees_per_source and tree = key mod t.trees_per_source in
-      ignore (get_tree t ~src ~tree))
-    (Util.Tbl.sorted_keys ~cmp:Int.compare t.cache);
+  Array.iteri
+    (fun key tr ->
+      if Option.is_some tr then
+        ignore
+          (get_tree t ~src:(key / t.trees_per_source) ~tree:(key mod t.trees_per_source)))
+    t.cache;
   t.repairs - before
 
 let choose_tree t rng ~src:_ = Util.Rng.int rng t.trees_per_source
 
-let children t ~src ~tree v = (get_tree t ~src ~tree).children.(v)
+let fib t ~src ~tree = (get_tree t ~src ~tree).fib
 let parent t ~src ~tree v = (get_tree t ~src ~tree).parent.(v)
 let depth t ~src ~tree = (get_tree t ~src ~tree).depth
-let delivery_hops t ~src ~tree = (get_tree t ~src ~tree).hops
+
+let children t ~src ~tree v =
+  let fib = fib t ~src ~tree in
+  List.init (fib.(v + 1) - fib.(v)) (fun i -> Topology.link_dst t.topo fib.(fib.(v) + i))
+
+let delivery_hops t ~src ~tree =
+  let parent = (get_tree t ~src ~tree).parent in
+  let hops = Array.make (Array.length parent) (-1) in
+  hops.(src) <- 0;
+  let rec hop v =
+    if hops.(v) < 0 then hops.(v) <- hop parent.(v) + 1;
+    hops.(v)
+  in
+  Array.iteri (fun v p -> if p >= 0 then ignore (hop v)) parent;
+  hops
 
 let edges t ~src ~tree =
   let tr = get_tree t ~src ~tree in
   let acc = ref [] in
-  Array.iteri (fun v p -> if v <> src && p >= 0 then acc := (p, v) :: !acc) tr.parent;
+  Array.iteri (fun v p -> if is_edge tr.parent ~root:src v then acc := (p, v) :: !acc) tr.parent;
   List.rev !acc
 
 (* -- overhead model ------------------------------------------------------ *)

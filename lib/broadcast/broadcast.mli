@@ -47,9 +47,16 @@ val repair_bytes : t -> int
 (** Cumulative control traffic charged for repairs: one broadcast-sized FIB
     update per edge of each rebuilt tree. *)
 
-val children : t -> src:int -> tree:int -> int -> int list
-(** FIB lookup: nodes to which a vertex forwards a [(src, tree)] broadcast
-    packet. *)
+val fib : t -> src:int -> tree:int -> int array
+(** The [(src, tree)] broadcast FIB as one CSR array: with [n] vertices,
+    cells [0 .. n] are offsets into the array itself, and the directed
+    link ids from vertex [v] to its children are the cells
+    [fib.(v) .. fib.(v + 1) - 1], in ascending child-vertex order.
+    Forwarding a broadcast at [v] is a loop over that slice — no hashing,
+    no allocation. The array is shared with the cache: do not mutate it.
+    A repair builds a new array; one fetched earlier keeps describing the
+    tree it came from. Raises [Invalid_argument] at build time if a tree
+    edge is not a link of the topology. *)
 
 val parent : t -> src:int -> tree:int -> int -> int
 (** Parent of a vertex in the tree ([src] is its own parent). *)
@@ -58,12 +65,23 @@ val depth : t -> src:int -> tree:int -> int
 (** Maximum hop count from the source to any vertex — the broadcast time in
     hops. *)
 
+(** {3 Derived views}
+
+    Rebuilt from the cached tree on every call, in time linear in the
+    rack (or in the vertex's degree for {!children}); meant for tests,
+    examples and experiments, not per-packet paths. *)
+
+val children : t -> src:int -> tree:int -> int -> int list
+(** Nodes to which a vertex forwards a [(src, tree)] broadcast packet, in
+    ascending order: the destinations of its {!fib} slice. *)
+
 val edges : t -> src:int -> tree:int -> (int * int) list
-(** Tree edges as (parent, child) pairs; [Topology.vertex_count - 1] of
-    them. *)
+(** Tree edges as (parent, child) pairs, ascending by child;
+    [Topology.vertex_count - 1] of them when every vertex is reachable. *)
 
 val delivery_hops : t -> src:int -> tree:int -> int array
-(** Per-vertex hop distance from the source along the tree. *)
+(** Per-vertex hop distance from the source along the tree ([-1] for
+    vertices the tree does not reach), walked from the parent array. *)
 
 (** {2 Overhead model (paper §3.2 and Fig. 9)} *)
 

@@ -666,27 +666,23 @@ and arrive t node pkt =
   end
 
 and fanout t ~root ~tree ~from ~code ~bytes ~p0 ~p1 ~p2 ~p3 ~p4 ~p5 =
-  let b =
+  let fib =
     match t.broadcast with
-    | Some b -> b
+    | Some b -> Broadcast.fib b ~src:root ~tree
     | None -> invalid_arg "Net: broadcast FIB not configured"
   in
-  List.iter
-    (fun child ->
-      match Topology.find_link t.topo from child with
-      | Some l ->
-          let h = alloc_pkt t in
-          fset t h f_meta (meta_make ~code ~bytes);
-          fset t h f_route Arena.Ints.empty;
-          fset t h f_p0 p0;
-          fset t h f_p1 p1;
-          fset t h f_p2 p2;
-          fset t h f_p3 p3;
-          fset t h f_p4 p4;
-          fset t h f_p5 p5;
-          enqueue_link t l h
-      | None -> assert false)
-    (Broadcast.children b ~src:root ~tree from)
+  for i = fib.(from) to fib.(from + 1) - 1 do
+    let h = alloc_pkt t in
+    fset t h f_meta (meta_make ~code ~bytes);
+    fset t h f_route Arena.Ints.empty;
+    fset t h f_p0 p0;
+    fset t h f_p1 p1;
+    fset t h f_p2 p2;
+    fset t h f_p3 p3;
+    fset t h f_p4 p4;
+    fset t h f_p5 p5;
+    enqueue_link t (Array.unsafe_get fib i) h
+  done
 
 let create engine topo ?(queue_capacity = max_int) ?(count_control = true) ~link_gbps
     ~hop_latency_ns () =

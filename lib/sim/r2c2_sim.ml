@@ -282,8 +282,8 @@ type t = {
   (* -- control-plane reliability (reliable_bcast) -- *)
   origins : (int * int) Rbcast.origin array;
       (** per source; payload = (bcast_id, wire bytes) for replay *)
-  wins : (int, win) Hashtbl.t array;
-      (** per node, keyed root * trees_per_source + tree *)
+  wins : win option array array;
+      (** per node, indexed by [win_key]: root * trees_per_source + tree *)
   chaos_on : bool;
   mutable digest_running : bool;
   mutable nacks_sent : int;
@@ -364,12 +364,12 @@ let flow_done_sending t st =
 let win_key t ~root ~tree = (root * t.cfg.trees_per_source) + tree
 
 let get_win t ~node ~root ~tree =
-  let key = win_key t ~root ~tree in
-  match Hashtbl.find_opt t.wins.(node) key with
+  let ws = t.wins.(node) and key = win_key t ~root ~tree in
+  match ws.(key) with
   | Some w -> w
   | None ->
       let w = { rx = Rbcast.rx (); hi = -1 } in
-      Hashtbl.replace t.wins.(node) key w;
+      ws.(key) <- Some w;
       w
 
 (* JOIN announcements ride the broadcast fabric under a sentinel id well
@@ -960,7 +960,7 @@ let control_converged t =
               for tree = 0 to t.cfg.trees_per_source - 1 do
                 let last = Rbcast.last_seq o ~tree in
                 if last >= 0 then
-                  match Hashtbl.find_opt t.wins.(node) (win_key t ~root ~tree) with
+                  match t.wins.(node).(win_key t ~root ~tree) with
                   | Some w when Rbcast.next_expected w.rx > last -> ()
                   | Some _ | None -> ok := false
               done;
@@ -988,7 +988,7 @@ let node_caught_up t ~node =
         for tree = 0 to t.cfg.trees_per_source - 1 do
           let last = Rbcast.last_seq o ~tree in
           if last >= 0 then
-            match Hashtbl.find_opt t.wins.(node) (win_key t ~root ~tree) with
+            match t.wins.(node).(win_key t ~root ~tree) with
             | Some w when Rbcast.next_expected w.rx > last -> ()
             | Some _ | None -> ok := false
         done;
@@ -1253,7 +1253,7 @@ let crash_node_at t ~ns u =
   schedule_event t ~ns "crash"
     (fun () ->
       Net.fail_node t.net u;
-      if reliable t then Hashtbl.reset t.wins.(u);
+      if reliable t then Array.fill t.wins.(u) 0 (Array.length t.wins.(u)) None;
       if t.cfg.control = Per_node then Hashtbl.reset t.views.(u);
       Util.Tbl.iter_sorted ~cmp:Int.compare
         (fun _ st ->
@@ -1323,7 +1323,7 @@ let restart_node_at t ~ns u =
   Engine.at t.eng ns (fun () ->
       Net.restore_node t.net u;
       if reliable t then begin
-        Hashtbl.reset t.wins.(u);
+        Array.fill t.wins.(u) 0 (Array.length t.wins.(u)) None;
         ignore (Rbcast.restart t.origins.(u))
       end;
       if t.cfg.control = Per_node then Hashtbl.reset t.views.(u);
@@ -1535,11 +1535,10 @@ let create cfg topo =
          else [||]);
       wins =
         (if cfg.reliable_bcast && cfg.real_broadcast then
-           (* Each node ends up with one receive window per (root, tree):
-              measured trees_per_source * (nverts - 1) entries — 104 on
-              the 3x3x3 test torus, 2044 on the 8x8x8 bench torus. The
-              old create 16 forced ~7 doublings per node on the bench. *)
-           Array.init nverts (fun _ -> Hashtbl.create (cfg.trees_per_source * nverts))
+           (* Each node ends up with one receive window per (root, tree)
+              but its own: trees_per_source * (nverts - 1) of the
+              trees_per_source * nverts slots. *)
+           Array.init nverts (fun _ -> Array.make (cfg.trees_per_source * nverts) None)
          else [||]);
       chaos_on;
       digest_running = false;
@@ -1628,7 +1627,6 @@ let create cfg topo =
       else if k = Net.code_digest then begin
         let root = Net.digest_root net pkt and tree = Net.digest_tree net pkt in
         let last_seq = Net.digest_last_seq net pkt in
-        let hash = Net.digest_hash net pkt in
         if reliable t then begin
             let w = get_win t ~node ~root ~tree in
             if win_ensure_inc w ~inc:(Net.digest_epoch net pkt lsr 32) then begin
@@ -1649,7 +1647,8 @@ let create cfg topo =
               done;
               if
                 !all_caught_up
-                && Rbcast.hash_ids (per_source_view_ids t ~node ~root) <> hash
+                && Rbcast.hash_ids (per_source_view_ids t ~node ~root)
+                   <> Net.digest_hash net pkt
               then send_nack t ~node ~root ~tree ~from_seq:0 ~to_seq:(-1)
             end
             end
@@ -1866,10 +1865,9 @@ let diverged_nodes t =
 
 let dup_events_absorbed t =
   Array.fold_left
-    (fun acc wt ->
-      Util.Tbl.fold_sorted ~cmp:Int.compare
-        (fun _ w acc -> acc + Rbcast.duplicates w.rx)
-        wt acc)
+    (Array.fold_left (fun acc -> function
+       | Some w -> acc + Rbcast.duplicates w.rx
+       | None -> acc))
     0 t.wins
 
 let results t =

@@ -126,6 +126,79 @@ let qcheck_tree_spans =
       walk src;
       !count = 64)
 
+(* The flat FIB against the parent array it was built from, on every
+   builder: each vertex's CSR slice lists the links to its parent-derived
+   children in ascending vertex order — the order that keeps simulated
+   outcomes unchanged. Then one cable fails and is restored: trees that
+   crossed it are rebuilt once and stay rebuilt after the restore; the
+   repair counts and bytes are pinned, since the FIB's layout must not
+   change what repairs cost. The failed cable is the first one between
+   two vertices of degree > 1, so the Clos case fails a leaf-spine
+   cable. *)
+let fib_matches_parent_children () =
+  let builders =
+    [
+      ("torus", Topology.torus [| 4; 4; 4 |], (0, 1), 105, 105840);
+      ("mesh", Topology.mesh [| 4; 4 |], (0, 1), 51, 12240);
+      ("clos", Topology.clos ~leaves:4 ~spines:2 ~servers_per_leaf:3, (12, 16), 61, 16592);
+      ("hypercube", Topology.hypercube 4, (0, 1), 48, 11520);
+      ("flattened butterfly", Topology.flattened_butterfly 4, (0, 1), 23, 5520);
+    ]
+  in
+  List.iter
+    (fun (name, topo, (u, v), repairs, repair_bytes) ->
+      let b = Broadcast.make topo in
+      let n = Topology.vertex_count topo in
+      let tps = Broadcast.trees_per_source b in
+      let fibs () =
+        Array.init (n * tps) (fun key -> Broadcast.fib b ~src:(key / tps) ~tree:(key mod tps))
+      in
+      let check_fibs fibs =
+        Array.iteri
+          (fun key fib ->
+            let src = key / tps and tree = key mod tps in
+            let parent = Array.init n (Broadcast.parent b ~src ~tree) in
+            let kids = Topology.tree_children parent ~root:src in
+            Alcotest.(check int) (name ^ ": offsets end the array") (Array.length fib) fib.(n);
+            for x = 0 to n - 1 do
+              let slice = Array.to_list (Array.sub fib fib.(x) (fib.(x + 1) - fib.(x))) in
+              let expect = List.map (Topology.find_link_id topo x) kids.(x) in
+              Alcotest.(check (list int)) (Printf.sprintf "%s: fib (%d, %d) at %d" name src tree x)
+                expect slice;
+              Alcotest.(check (list int)) (name ^ ": children are the slice's ends")
+                kids.(x) (Broadcast.children b ~src ~tree x)
+            done)
+          fibs
+      in
+      let before = fibs () in
+      check_fibs before;
+      Topology.fail_link topo u v;
+      let during = fibs () in
+      check_fibs during;
+      let dead = [ Topology.find_link_id topo u v; Topology.find_link_id topo v u ] in
+      let rebuilt = ref 0 in
+      Array.iteri
+        (fun key fib ->
+          if fib != before.(key) then incr rebuilt;
+          Array.iteri
+            (fun i l ->
+              if i > n then
+                Alcotest.(check bool) (name ^ ": no tree crosses the dead cable") false
+                  (List.mem l dead))
+            fib)
+        during;
+      Alcotest.(check int) (name ^ ": rebuilt trees = repairs") (Broadcast.repairs b) !rebuilt;
+      Topology.restore_link topo u v;
+      let after = fibs () in
+      Array.iteri
+        (fun key fib ->
+          Alcotest.(check bool) (name ^ ": restore keeps the rebuilt tree") true
+            (fib == during.(key)))
+        after;
+      Alcotest.(check int) (name ^ ": repairs") repairs (Broadcast.repairs b);
+      Alcotest.(check int) (name ^ ": repair bytes") repair_bytes (Broadcast.repair_bytes b))
+    builders
+
 let suites =
   [
     ( "broadcast",
@@ -142,6 +215,7 @@ let suites =
         tc "1.3% capacity at 5% small bytes (paper)" analytic_overhead_5pct;
         tc "overhead monotone in small-flow share" analytic_overhead_monotone;
         tc "greater diameter, lower overhead (Fig 9)" greater_diameter_lower_overhead;
+        tc "flat FIB matches parent-derived children" fib_matches_parent_children;
         QCheck_alcotest.to_alcotest qcheck_tree_spans;
       ] );
   ]

@@ -179,6 +179,75 @@ let net_steady_state_zero_alloc () =
   Sim.Net.release_route net fwd;
   Sim.Net.release_route net rev
 
+(* Minor words per control hop of [round ()] once [round] has run once
+   (pools, queues, trees and receive windows warmed up); [round] must
+   produce [hops] hop arrivals. *)
+let words_per_hop ~hops round =
+  round ();
+  let before = Gc.minor_words () in
+  round ();
+  (Gc.minor_words () -. before) /. float_of_int hops
+
+(* One broadcast (or digest) per (root, tree) on a 4x4x4 torus: every
+   spanning tree has 63 edges. *)
+let flood_hops = 64 * 4 * 63
+
+let net_broadcast_flood_zero_alloc () =
+  (* The control-plane counterpart of the data-path pin above: forwarding
+     a broadcast copy is a loop over the tree's flat FIB slice — no hash
+     probe, no option, no closure per hop. *)
+  let topo = Topology.torus [| 4; 4; 4 |] in
+  let eng = Sim.Engine.create () in
+  let net = Sim.Net.create eng topo ~link_gbps:(U.gbps 100.0) ~hop_latency_ns:100 () in
+  Sim.Net.set_broadcast net (Broadcast.make topo);
+  let arrivals = ref 0 in
+  Sim.Net.on_bcast_deliver net (fun _ ~node:_ -> incr arrivals);
+  let per_hop =
+    words_per_hop ~hops:flood_hops (fun () ->
+        for root = 0 to 63 do
+          for tree = 0 to 3 do
+            Sim.Net.send_bcast net ~root ~tree ~bcast_id:root ~bytes:Wire.broadcast_size ()
+          done
+        done;
+        Sim.Engine.run eng)
+  in
+  Alcotest.(check int) "every copy arrived" (2 * flood_hops) !arrivals;
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per broadcast hop ~ 0 (got %.3f)" per_hop)
+    true (per_hop < 0.05)
+
+let r2c2_digest_round_zero_alloc () =
+  (* The reliable receive path: a digest arriving at a node looks up its
+     (root, tree) receive window by array index. Flows first run to
+     completion so windows hold real sequence state; each measured round
+     then floods one digest per (root, tree), every one already covered. *)
+  let topo = Topology.torus [| 4; 4; 4 |] in
+  let cfg = { Sim.R2c2_sim.default_config with reliable_bcast = true } in
+  let t = Sim.R2c2_sim.create cfg topo in
+  for i = 0 to 63 do
+    ignore (Sim.R2c2_sim.start_flow t ~src:i ~dst:((i + 33) mod 64) ~size:20_000)
+  done;
+  Sim.R2c2_sim.run_engine t;
+  Alcotest.(check bool) "converged before the rounds" true (Sim.R2c2_sim.control_converged t);
+  let net = Sim.R2c2_sim.net t in
+  let hops0 = Sim.Net.ctrl_hops net in
+  let per_hop =
+    words_per_hop ~hops:flood_hops (fun () ->
+        for root = 0 to 63 do
+          for tree = 0 to 3 do
+            Sim.Net.send_digest_tree net ~root ~tree ~epoch:0 ~last_seq:(-1) ~hash:0L
+              ~bytes:Wire.digest_size
+          done
+        done;
+        Sim.R2c2_sim.run_engine t)
+  in
+  Alcotest.(check int) "two rounds of digest hops" (2 * flood_hops)
+    (Sim.Net.ctrl_hops net - hops0);
+  Alcotest.(check bool) "still converged" true (Sim.R2c2_sim.control_converged t);
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per digest hop ~ 0 (got %.3f)" per_hop)
+    true (per_hop < 0.05)
+
 (* -- metrics --------------------------------------------------------------- *)
 
 let metrics_flow_lifecycle () =
@@ -777,6 +846,7 @@ let suites =
         tc "broadcast requires a FIB" net_requires_fib_for_broadcast;
         tc "bad routes rejected" net_rejects_bad_route;
         tc "steady state allocates nothing" net_steady_state_zero_alloc;
+        tc "broadcast flood allocates nothing" net_broadcast_flood_zero_alloc;
       ] );
     ( "sim.metrics",
       [
@@ -805,6 +875,7 @@ let suites =
         tc "dynamic API: input validation" dynamic_validates_inputs;
         tc "live routing reselection (SS3.4)" r2c2_live_reselection;
         tc "reselection does not regress" r2c2_reselection_not_worse;
+        tc "reliable digest round allocates nothing" r2c2_digest_round_zero_alloc;
       ] );
     ( "sim.tcp",
       [
