@@ -90,106 +90,227 @@ let restart o =
 
 let incarnation o = o.inc
 
-(* -- receive window (per source, per tree) -------------------------------- *)
+(* -- receive windows: one flat table for every (origin, tree, receiver) --- *)
 
-type 'a rx = {
-  mutable rnext : int;  (* next expected sequence number *)
-  pending : (int, 'a) Hashtbl.t;  (* out-of-order buffer: seq -> payload *)
-  mutable dups : int;
-  mutable armed : bool;  (* caller's repair-timer latch *)
-  mutable rinc : int;  (* origin incarnation this window is keyed to *)
+(* A receive window is four ints in an int block owned by its (origin,
+   tree): the blocks are origin-major, so the windows that one root's
+   broadcast or digest flood touches — every receiver of that (origin,
+   tree) — sit next to each other in one [receivers * 4]-cell block. A
+   block is allocated on first write; until then its windows read as
+   fresh. Slot layout: *)
+let w_next = 0 (* next expected sequence number *)
+let w_hi = 1 (* highest sequence heard of (packets, digests, syncs); -1 none *)
+let w_inc = 2 (* origin incarnation the window is keyed to *)
+let w_flags = 3 (* duplicates * 2 + armed *)
+let slot_words = 4
+
+type 'a table = {
+  trees : int;
+  receivers : int;
+  blocks : int array array;  (* origin * trees + tree -> block; [||] until used *)
+  buffered : (int, (int, 'a) Hashtbl.t) Hashtbl.t;
+      (* window id -> out-of-order buffer (seq -> payload); holds only
+         windows with a gap, so the in-order path never probes it *)
+  wipes : int array;  (* per receiver: crash/restart wipes so far *)
 }
 
-type 'a verdict =
-  | Deliver of 'a list  (* in-order run, oldest first *)
-  | Duplicate
-  | Buffered  (* out of order: a gap is now open *)
+type verdict = Deliver | Duplicate | Buffered
+type keying = Stale | Current | Rekeyed
 
-let rx () =
-  { rnext = 0; pending = Hashtbl.create 8; dups = 0; armed = false; rinc = 0 }
+let table ~origins ~trees ~receivers =
+  if origins < 0 || trees < 1 || receivers < 1 then invalid_arg "Rbcast.table: bad dimensions";
+  {
+    trees;
+    receivers;
+    blocks = Array.make (origins * trees) [||];
+    buffered = Hashtbl.create 16;
+    wipes = Array.make receivers 0;
+  }
 
-let next_expected r = r.rnext
-let pending_count r = Hashtbl.length r.pending
-let duplicates r = r.dups
-let rx_incarnation r = r.rinc
+let win tb ~origin ~tree ~receiver =
+  if tree < 0 || tree >= tb.trees || receiver < 0 || receiver >= tb.receivers then
+    invalid_arg "Rbcast.win: tree or receiver out of range";
+  (((origin * tb.trees) + tree) * tb.receivers) + receiver
 
-(* The stale-window guard (satellite of the crash-restart protocol): a
-   window still keyed to a pre-crash incarnation MUST drop its state the
+let reset_slot blk off =
+  blk.(off + w_next) <- 0;
+  blk.(off + w_hi) <- -1;
+  blk.(off + w_inc) <- 0;
+  blk.(off + w_flags) <- 0
+
+(* The block holding window [w], allocated (every slot fresh) on first
+   use; [off] below is the window's first cell in it. *)
+let block tb w =
+  let b = w / tb.receivers in
+  let blk = tb.blocks.(b) in
+  if Array.length blk > 0 then blk
+  else begin
+    let blk = Array.make (tb.receivers * slot_words) 0 in
+    for r = 0 to tb.receivers - 1 do
+      reset_slot blk (r * slot_words)
+    done;
+    tb.blocks.(b) <- blk;
+    blk
+  end
+
+let off tb w = (w mod tb.receivers) * slot_words
+
+(* Read one word without allocating the block: an unused window is fresh. *)
+let peek tb w field ~fresh =
+  let blk = tb.blocks.(w / tb.receivers) in
+  if Array.length blk = 0 then fresh else blk.(off tb w + field)
+
+let next_expected tb w = peek tb w w_next ~fresh:0
+let highest tb w = peek tb w w_hi ~fresh:(-1)
+let caught_up tb w = next_expected tb w > highest tb w
+let incarnation_of tb w = peek tb w w_inc ~fresh:0
+let duplicates tb w = peek tb w w_flags ~fresh:0 lsr 1
+
+let pending_count tb w =
+  match Hashtbl.find_opt tb.buffered w with
+  | Some buf -> Hashtbl.length buf
+  | None -> 0
+
+let total_duplicates tb =
+  Array.fold_left
+    (fun acc blk ->
+      let acc = ref acc in
+      for r = 0 to (Array.length blk / slot_words) - 1 do
+        acc := !acc + (blk.((r * slot_words) + w_flags) lsr 1)
+      done;
+      !acc)
+    0 tb.blocks
+
+(* Every wipe and re-key changes it: (wipes of the receiver, incarnation)
+   only ever grows lexicographically, and incarnations stay below 2^31
+   (digests already carry them in the upper half of a 63-bit word). *)
+let generation tb w = (tb.wipes.(w mod tb.receivers) lsl 31) lor incarnation_of tb w
+
+(* The stale-window guard of the crash-restart protocol: a window still keyed to a pre-crash incarnation MUST drop its state the
    moment it learns of a newer one, or the restarted origin's fresh
    sequence space collides with the old window — seq 0 of the new
-   incarnation would be absorbed as a duplicate and never delivered.
-   Returns whether a packet stamped with [epoch] should be processed at
-   all: packets from an older incarnation are stale and must be ignored. *)
-let ensure_epoch r ~epoch =
-  if epoch < r.rinc then false
+   incarnation would be absorbed as a duplicate and never delivered. The
+   duplicate count survives the re-key. *)
+let observe_incarnation tb w ~inc =
+  let cur = incarnation_of tb w in
+  if inc < cur then Stale
+  else if inc = cur then Current
   else begin
-    if epoch > r.rinc then begin
-      Hashtbl.reset r.pending;
-      r.rnext <- 0;
-      r.armed <- false;
-      r.rinc <- epoch
-    end;
-    true
+    let blk = block tb w and o = off tb w in
+    blk.(o + w_next) <- 0;
+    blk.(o + w_hi) <- -1;
+    blk.(o + w_inc) <- inc;
+    blk.(o + w_flags) <- blk.(o + w_flags) land lnot 1;
+    Hashtbl.remove tb.buffered w;
+    Rekeyed
   end
 
-let drain r acc =
-  let rec go acc =
-    match Hashtbl.find_opt r.pending r.rnext with
-    | Some p ->
-        Hashtbl.remove r.pending r.rnext;
-        r.rnext <- r.rnext + 1;
-        go (p :: acc)
-    | None -> List.rev acc
-  in
-  go acc
+let advertise tb w ~last =
+  if last > highest tb w then (block tb w).(off tb w + w_hi) <- last
 
-let receive r ~seq payload =
+let receive tb w ~seq payload =
   if seq < 0 then invalid_arg "Rbcast.receive: negative seq";
-  if seq < r.rnext || Hashtbl.mem r.pending seq then begin
-    r.dups <- r.dups + 1;
+  let blk = block tb w and o = off tb w in
+  if seq > blk.(o + w_hi) then blk.(o + w_hi) <- seq;
+  let next = blk.(o + w_next) in
+  if seq = next then begin
+    blk.(o + w_next) <- next + 1;
+    Deliver
+  end
+  else if seq < next then begin
+    blk.(o + w_flags) <- blk.(o + w_flags) + 2;
     Duplicate
   end
-  else if seq = r.rnext then begin
-    r.rnext <- r.rnext + 1;
-    Deliver (drain r [ payload ])
-  end
   else begin
-    Hashtbl.replace r.pending seq payload;
-    Buffered
-  end
-
-let missing r ~upto =
-  let out = ref [] in
-  let from = ref (-1) in
-  for s = r.rnext to upto do
-    if Hashtbl.mem r.pending s then begin
-      if !from >= 0 then begin
-        out := (!from, s - 1) :: !out;
-        from := -1
-      end
+    let buf =
+      match Hashtbl.find_opt tb.buffered w with
+      | Some buf -> buf
+      | None ->
+          let buf = Hashtbl.create 8 in
+          Hashtbl.replace tb.buffered w buf;
+          buf
+    in
+    if Hashtbl.mem buf seq then begin
+      blk.(o + w_flags) <- blk.(o + w_flags) + 2;
+      Duplicate
     end
-    else if !from < 0 then from := s
-  done;
-  if !from >= 0 then out := (!from, upto) :: !out;
-  List.rev !out
+    else begin
+      Hashtbl.replace buf seq payload;
+      Buffered
+    end
+  end
 
-let fast_forward r ~next =
-  if next <= r.rnext then []
-  else begin
+(* Every buffered sequence lies in (next, hi], so a window past its [hi]
+   has nothing buffered and the buffer table is not probed. *)
+let take_next tb w =
+  let next = next_expected tb w in
+  if next > highest tb w then None
+  else
+    match Hashtbl.find_opt tb.buffered w with
+    | None -> None
+    | Some buf -> (
+        match Hashtbl.find_opt buf next with
+        | None -> None
+        | Some p ->
+            Hashtbl.remove buf next;
+            if Hashtbl.length buf = 0 then Hashtbl.remove tb.buffered w;
+            let blk = block tb w in
+            blk.(off tb w + w_next) <- next + 1;
+            Some p)
+
+let missing tb w =
+  let next = next_expected tb w and hi = highest tb w in
+  match Hashtbl.find_opt tb.buffered w with
+  | None -> if next <= hi then [ (next, hi) ] else []
+  | Some buf ->
+      let out = ref [] in
+      let from = ref (-1) in
+      for s = next to hi do
+        if Hashtbl.mem buf s then begin
+          if !from >= 0 then begin
+            out := (!from, s - 1) :: !out;
+            from := -1
+          end
+        end
+        else if !from < 0 then from := s
+      done;
+      if !from >= 0 then out := (!from, hi) :: !out;
+      List.rev !out
+
+let fast_forward tb w ~next =
+  advertise tb w ~last:(next - 1);
+  if next > next_expected tb w then begin
     (* Everything below [next] is already reflected in the synced state;
        buffered events at or above it are strictly newer and still apply. *)
-    Array.iter
-      (fun s -> if s < next then Hashtbl.remove r.pending s)
-      (Util.Tbl.sorted_keys ~cmp:Int.compare r.pending);
-    r.rnext <- next;
-    drain r []
+    (match Hashtbl.find_opt tb.buffered w with
+    | Some buf ->
+        Array.iter
+          (fun s -> if s < next then Hashtbl.remove buf s)
+          (Util.Tbl.sorted_keys ~cmp:Int.compare buf);
+        if Hashtbl.length buf = 0 then Hashtbl.remove tb.buffered w
+    | None -> ());
+    (block tb w).(off tb w + w_next) <- next
   end
 
-let arm r =
-  if r.armed then false
+let arm tb w =
+  let blk = block tb w and o = off tb w in
+  let flags = blk.(o + w_flags) in
+  if flags land 1 = 1 then false
   else begin
-    r.armed <- true;
+    blk.(o + w_flags) <- flags lor 1;
     true
   end
 
-let disarm r = r.armed <- false
+let disarm tb w =
+  let blk = block tb w and o = off tb w in
+  blk.(o + w_flags) <- blk.(o + w_flags) land lnot 1
+
+let wipe_receiver tb ~receiver =
+  tb.wipes.(receiver) <- tb.wipes.(receiver) + 1;
+  Array.iteri
+    (fun b blk ->
+      if Array.length blk > 0 then begin
+        reset_slot blk (receiver * slot_words);
+        Hashtbl.remove tb.buffered ((b * tb.receivers) + receiver)
+      end)
+    tb.blocks

@@ -8,9 +8,10 @@
       monotonic sequence number, keeps a bounded replay log for answering
       NACKs, and maintains the authoritative live-flow set whose hash rides
       in anti-entropy digests;
-    - the {e receive window} (one per (source, tree) at every node)
-      delivers packets exactly once in sequence order, buffers reordered
-      arrivals, surfaces gaps for NACK-based repair and absorbs duplicates.
+    - the {e receive windows} (one per (source, tree) at every node, all
+      in one flat table) deliver packets exactly once in sequence order,
+      buffer reordered arrivals, surface gaps for NACK-based repair and
+      absorb duplicates.
 
     Everything here is pure data structure: timers, packet transport and
     topology stay with the caller, so the same code backs the packet
@@ -60,63 +61,115 @@ val restart : 'a origin -> int
 (** Crash-restart: wipe the replay logs, live set and sequence spaces (the
     node lost all soft state), bump the anti-entropy epoch, and advance the
     {e incarnation} — returned so the rejoin JOIN can announce it. Receive
-    windows key their invalidation on the incarnation via {!ensure_epoch},
+    windows key their invalidation on the incarnation via
+    {!observe_incarnation},
     {e not} on the epoch, which moves every digest round. *)
 
 val incarnation : 'a origin -> int
 (** Number of restarts this origin has gone through; 0 initially. *)
 
-(** {2 Receive window (per source, per tree)} *)
+(** {2 Receive windows}
 
-type 'a rx
+    One table holds the receive window of every (origin, tree, receiver)
+    triple. Each window is four ints — next expected sequence, highest
+    sequence heard of ([hi]), the origin incarnation it is keyed to, and
+    [duplicates * 2 + armed] — in an int block per (origin, tree), so the
+    windows a flood from one root touches are contiguous. A block is
+    allocated on the first write to one of its windows; until then they
+    read as fresh (expecting sequence 0, [hi = -1], incarnation 0).
+    Out-of-order packets wait in a side table keyed by window id that the
+    in-order path never probes.
 
-type 'a verdict =
-  | Deliver of 'a list
-      (** the packet (and any buffered successors) is deliverable now, in
-          sequence order, each exactly once *)
+    Payloads are only stored while buffered: an in-order packet is
+    {!Deliver}ed back to the caller, which applies the payload it already
+    holds and then drains buffered successors with {!take_next}. An
+    accepted in-order packet therefore allocates nothing. *)
+
+type 'a table
+
+val table : origins:int -> trees:int -> receivers:int -> 'a table
+(** Windows for [origins] sources of [trees] trees each, at [receivers]
+    nodes, all fresh. *)
+
+val win : 'a table -> origin:int -> tree:int -> receiver:int -> int
+(** The window id of a triple: [((origin * trees) + tree) * receivers +
+    receiver]. Every other function takes this id. *)
+
+type verdict =
+  | Deliver
+      (** the packet is next in sequence: the caller applies it, then
+          drains {!take_next} until [None] — each event exactly once, in
+          sequence order *)
   | Duplicate  (** already delivered or already buffered; drop *)
   | Buffered  (** arrived ahead of a gap; a repair should be scheduled *)
 
-val rx : unit -> 'a rx
-(** A fresh window expecting sequence number 0, keyed to incarnation 0. *)
+val receive : 'a table -> int -> seq:int -> 'a -> verdict
+(** Accept one packet. Raises [hi] to [seq] whatever the verdict. *)
 
-val ensure_epoch : 'a rx -> epoch:int -> bool
+val take_next : 'a table -> int -> 'a option
+(** The buffered packet at the window's next sequence number, if any,
+    advancing the window past it. *)
+
+type keying =
+  | Stale  (** older than the window's incarnation: ignore the packet *)
+  | Current  (** the window's incarnation *)
+  | Rekeyed
+      (** newer: the window dropped its buffer, sequence cursor, [hi] and
+          repair latch and now expects sequence 0 of [inc] *)
+
+val observe_incarnation : 'a table -> int -> inc:int -> keying
 (** Stale-window guard: call with the origin incarnation stamped on an
-    incoming packet {e before} {!receive}. A higher incarnation than the
-    window's drops all window state (pending buffer, sequence cursor,
-    repair latch) and re-keys it — without this, the restarted origin's
-    fresh sequence 0 would be absorbed as a duplicate of the pre-crash
-    run. Returns false when the packet is from an older incarnation and
-    must be ignored. *)
+    incoming packet {e before} {!receive}. Without the re-key, the
+    restarted origin's fresh sequence 0 would be absorbed as a duplicate
+    of the pre-crash run. The duplicate count survives. *)
 
-val rx_incarnation : 'a rx -> int
+val incarnation_of : 'a table -> int -> int
 (** The origin incarnation the window is currently keyed to. *)
 
-val receive : 'a rx -> seq:int -> 'a -> 'a verdict
+val advertise : 'a table -> int -> last:int -> unit
+(** Raise [hi] to [last]: a digest announced sequences up to [last]. *)
 
-val next_expected : 'a rx -> int
-val pending_count : 'a rx -> int
+val next_expected : 'a table -> int -> int
+
+val highest : 'a table -> int -> int
+(** [hi]: the highest sequence number heard of; -1 if none. *)
+
+val caught_up : 'a table -> int -> bool
+(** [next_expected > highest]: nothing heard of is missing. *)
+
+val pending_count : 'a table -> int -> int
 (** Out-of-order packets currently buffered behind a gap. *)
 
-val duplicates : 'a rx -> int
-(** Packets absorbed as duplicates so far. *)
+val duplicates : 'a table -> int -> int
+(** Packets the window absorbed as duplicates so far. *)
 
-val missing : 'a rx -> upto:int -> (int * int) list
-(** Inclusive gaps in [next_expected .. upto] not covered by buffered
+val total_duplicates : 'a table -> int
+(** {!duplicates} summed over every window. *)
+
+val missing : 'a table -> int -> (int * int) list
+(** Inclusive gaps in [next_expected .. highest] not covered by buffered
     packets — the ranges a NACK should request. Empty when caught up. *)
 
-val fast_forward : 'a rx -> next:int -> 'a list
-(** After a full-state sync covering everything below [next]: drop the
-    stale buffer entries, jump the window to [next], and return any
-    buffered in-order run starting there (strictly newer than the sync, so
-    the caller still applies it). No-op returning [[]] if the window is
-    already at or past [next]. *)
+val fast_forward : 'a table -> int -> next:int -> unit
+(** After a full-state sync covering everything below [next]: raise [hi]
+    to [next - 1], and if the window is behind [next], drop the buffered
+    packets below it and jump there. Buffered packets from [next] on are
+    strictly newer than the sync; drain them with {!take_next}. *)
 
-val arm : 'a rx -> bool
+val arm : 'a table -> int -> bool
 (** Latch the caller's repair timer: true exactly when it was not armed,
     so only one timer per window is outstanding. *)
 
-val disarm : 'a rx -> unit
+val disarm : 'a table -> int -> unit
+
+val generation : 'a table -> int -> int
+(** Changes whenever the window is wiped or re-keyed. A repair timer
+    records it when armed and does nothing if it has moved by the time it
+    fires: the window it was armed for no longer exists. *)
+
+val wipe_receiver : 'a table -> receiver:int -> unit
+(** Crash or restart of [receiver]: every one of its windows becomes
+    fresh, duplicate count and buffer included. *)
 
 (** {2 Deterministic state hash} *)
 

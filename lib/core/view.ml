@@ -2,16 +2,16 @@
    rebuilt purely from that source's sequenced broadcast stream. The owner
    of the authoritative state is a [Stack]; a [View] is what some other
    node in the rack believes, with the transport between them allowed to
-   lose, reorder and duplicate packets. Per-tree receive windows
-   ([Rbcast.rx]) deliver events exactly once in order; digests from the
-   source expose losses the stream itself cannot reveal (a dropped final
-   packet); a state-hash mismatch while sequence-caught-up marks the view
-   as diverged, to be repaired by a full-state {!sync}. *)
+   lose, reorder and duplicate packets. Per-tree receive windows (an
+   [Rbcast.table] with one origin and one receiver) deliver events
+   exactly once in order; digests from the source expose losses the
+   stream itself cannot reveal (a dropped final packet); a state-hash
+   mismatch while sequence-caught-up marks the view as diverged, to be
+   repaired by a full-state {!sync}. *)
 
 type t = {
   trees : int;
-  windows : (Wire.broadcast * int) Rbcast.rx array;  (* per tree *)
-  hi : int array;  (* highest sequence advertised per tree; -1 = none *)
+  windows : (Wire.broadcast * int) Rbcast.table;
   flows : (int, Wire.broadcast) Hashtbl.t;  (* believed-live id -> record *)
   mutable applied : int;
 }
@@ -20,11 +20,12 @@ let create ~trees () =
   if trees < 1 then invalid_arg "View.create: trees < 1";
   {
     trees;
-    windows = Array.init trees (fun _ -> Rbcast.rx ());
-    hi = Array.make trees (-1);
+    windows = Rbcast.table ~origins:1 ~trees ~receivers:1;
     flows = Hashtbl.create 32;
     applied = 0;
   }
+
+let win t tree = Rbcast.win t.windows ~origin:0 ~tree ~receiver:0
 
 let apply_event t (pkt, flow) =
   t.applied <- t.applied + 1;
@@ -36,19 +37,19 @@ let apply_event t (pkt, flow) =
       Hashtbl.replace t.flows flow pkt
 
 let observe_incarnation t ~inc =
-  let prev = Rbcast.rx_incarnation t.windows.(0) in
-  if inc < prev then `Stale
-  else if inc = prev then `Current
-  else begin
-    (* The source restarted: everything learned from its old life —
-       window positions, advertised highs, the believed flow set — is
-       void. The windows re-key in lockstep, so [windows.(0)] speaks for
-       all of them above. *)
-    Array.iter (fun w -> ignore (Rbcast.ensure_epoch w ~epoch:inc)) t.windows;
-    Array.fill t.hi 0 t.trees (-1);
-    Hashtbl.reset t.flows;
-    `Reset
-  end
+  match Rbcast.observe_incarnation t.windows (win t 0) ~inc with
+  | Rbcast.Stale -> `Stale
+  | Rbcast.Current -> `Current
+  | Rbcast.Rekeyed ->
+      (* The source restarted: everything learned from its old life —
+         window positions, advertised highs, the believed flow set — is
+         void. The windows re-key in lockstep, so window 0 speaks for all
+         of them above. *)
+      for tree = 1 to t.trees - 1 do
+        ignore (Rbcast.observe_incarnation t.windows (win t tree) ~inc)
+      done;
+      Hashtbl.reset t.flows;
+      `Reset
 
 type verdict =
   | Applied of int  (* events folded into the matrix, in order *)
@@ -56,18 +57,25 @@ type verdict =
   | Buffered  (* ahead of a gap; repair should be requested *)
   | Malformed of string
 
+(* Apply the events buffered behind the one just delivered on [tree];
+   returns how many. *)
+let rec drain t tree n =
+  match Rbcast.take_next t.windows (win t tree) with
+  | Some ev ->
+      apply_event t ev;
+      drain t tree (n + 1)
+  | None -> n
+
 let apply_seq t pkt flow seq =
   let tree = pkt.Wire.tree in
   if tree < 0 || tree >= t.trees then Malformed "tree id out of range"
-  else begin
-    if seq > t.hi.(tree) then t.hi.(tree) <- seq;
-    match Rbcast.receive t.windows.(tree) ~seq (pkt, flow) with
-    | Rbcast.Deliver ps ->
-        List.iter (apply_event t) ps;
-        Applied (List.length ps)
+  else
+    match Rbcast.receive t.windows (win t tree) ~seq (pkt, flow) with
+    | Rbcast.Deliver ->
+        apply_event t (pkt, flow);
+        Applied (drain t tree 1)
     | Rbcast.Duplicate -> Duplicate
     | Rbcast.Buffered -> Buffered
-  end
 
 let apply t bytes =
   match Wire.decode_seq_broadcast bytes with
@@ -94,24 +102,23 @@ let flow_count t = Hashtbl.length t.flows
 let matrix_hash t = Rbcast.hash_ids (flow_ids t)
 let applied t = t.applied
 
-let duplicates t =
-  Array.fold_left (fun acc w -> acc + Rbcast.duplicates w) 0 t.windows
+let duplicates t = Rbcast.total_duplicates t.windows
 
 let check_tree t tree =
   if tree < 0 || tree >= t.trees then invalid_arg "View: tree id out of range"
 
 let next_expected t ~tree =
   check_tree t tree;
-  Rbcast.next_expected t.windows.(tree)
+  Rbcast.next_expected t.windows (win t tree)
 
 let missing t ~tree =
   check_tree t tree;
-  Rbcast.missing t.windows.(tree) ~upto:t.hi.(tree)
+  Rbcast.missing t.windows (win t tree)
 
 let caught_up t =
   let ok = ref true in
   for tree = 0 to t.trees - 1 do
-    if Rbcast.next_expected t.windows.(tree) <= t.hi.(tree) then ok := false
+    if not (Rbcast.caught_up t.windows (win t tree)) then ok := false
   done;
   !ok
 
@@ -123,8 +130,8 @@ type digest_verdict =
 let observe_digest t (d : Wire.digest) =
   check_tree t d.Wire.dtree;
   let tree = d.Wire.dtree in
-  if d.Wire.last_seq > t.hi.(tree) then t.hi.(tree) <- d.Wire.last_seq;
-  if Rbcast.next_expected t.windows.(tree) <= d.Wire.last_seq then
+  Rbcast.advertise t.windows (win t tree) ~last:d.Wire.last_seq;
+  if Rbcast.next_expected t.windows (win t tree) <= d.Wire.last_seq then
     Gaps (missing t ~tree)
   else if caught_up t && matrix_hash t <> d.Wire.state_hash then Diverged
   else Synced
@@ -135,7 +142,7 @@ let sync t ~flows ~last_seqs =
   List.iter (fun (id, pkt) -> Hashtbl.replace t.flows id pkt) flows;
   Array.iteri
     (fun tree last ->
-      if last > t.hi.(tree) then t.hi.(tree) <- last;
+      Rbcast.fast_forward t.windows (win t tree) ~next:(last + 1);
       (* Buffered events beyond the sync are strictly newer; apply them. *)
-      List.iter (apply_event t) (Rbcast.fast_forward t.windows.(tree) ~next:(last + 1)))
+      ignore (drain t tree 0))
     last_seqs

@@ -105,7 +105,7 @@ val bcast_seq : t -> packet -> int
 
 val bcast_inc : t -> packet -> int
 (** The origin incarnation stamped on the copy — receive windows key their
-    crash-restart invalidation on this ({!Rbcast.ensure_epoch}). *)
+    crash-restart invalidation on this ({!Rbcast.observe_incarnation}). *)
 
 val digest_root : t -> packet -> int
 val digest_tree : t -> packet -> int

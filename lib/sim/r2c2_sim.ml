@@ -220,11 +220,6 @@ type fstate = {
           start broadcast picks one *)
 }
 
-(* One receive window per (receiving node, source, tree): the Rbcast window
-   plus the highest sequence number this node has heard of on the tree
-   (from packets or digests) — the upper bound a NACK sweep covers. *)
-type win = { rx : (int * int) Rbcast.rx; mutable hi : int }
-
 (* Per-cable gray-failure health estimator state, indexed by the canonical
    directed link id (src < dst); allocated only once a flaky link exists so
    clean runs never touch it. *)
@@ -282,8 +277,8 @@ type t = {
   (* -- control-plane reliability (reliable_bcast) -- *)
   origins : (int * int) Rbcast.origin array;
       (** per source; payload = (bcast_id, wire bytes) for replay *)
-  wins : win option array array;
-      (** per node, indexed by [win_key]: root * trees_per_source + tree *)
+  rx : int Rbcast.table;
+      (** every node's receive window per (root, tree); payload = bcast_id *)
   chaos_on : bool;
   mutable digest_running : bool;
   mutable nacks_sent : int;
@@ -361,31 +356,34 @@ let flow_done_sending t st =
 
 (* -- reliable broadcast: windows, NACK repair, anti-entropy ---------------- *)
 
-let win_key t ~root ~tree = (root * t.cfg.trees_per_source) + tree
-
-let get_win t ~node ~root ~tree =
-  let ws = t.wins.(node) and key = win_key t ~root ~tree in
-  match ws.(key) with
-  | Some w -> w
-  | None ->
-      let w = { rx = Rbcast.rx (); hi = -1 } in
-      ws.(key) <- Some w;
-      w
+let win t ~node ~root ~tree = Rbcast.win t.rx ~origin:root ~tree ~receiver:node
 
 (* JOIN announcements ride the broadcast fabric under a sentinel id well
    clear of flow events (ids >= 0) and batched reselection announcements
    (small negatives). *)
 let bcast_id_join = min_int
 
-(* Key the window to the incarnation stamped on an incoming packet; a
-   newer incarnation wipes the window ([Rbcast.ensure_epoch]) and the
-   NACK-sweep bound tracked next to it. Returns false for stale packets.
-   On clean runs every incarnation is 0, so this never changes state. *)
-let win_ensure_inc w ~inc =
-  let prev = Rbcast.rx_incarnation w.rx in
-  let ok = Rbcast.ensure_epoch w.rx ~epoch:inc in
-  if ok && Rbcast.rx_incarnation w.rx > prev then w.hi <- -1;
-  ok
+(* Re-key every window of [root] at [node] to incarnation [inc]; windows
+   already on it are untouched. *)
+let rekey_root t ~node ~root ~inc =
+  for tree = 0 to t.cfg.trees_per_source - 1 do
+    ignore (Rbcast.observe_incarnation t.rx (win t ~node ~root ~tree) ~inc)
+  done
+
+(* Key window [w] of [root] at [node] to the incarnation stamped on an
+   incoming packet or digest. A newer one means the root restarted, so
+   every tree of it re-keys, as a JOIN makes them: a tree left on the old
+   incarnation keeps its pre-crash [hi] and holds the node
+   sequence-behind, which blocks the hash check that repairs a restarted
+   origin whose JOIN was lost. Returns false for stale packets. On clean
+   runs every incarnation is 0, so this never changes state. *)
+let accept_inc t ~node ~root w ~inc =
+  match Rbcast.observe_incarnation t.rx w ~inc with
+  | Rbcast.Current -> true
+  | Rbcast.Stale -> false
+  | Rbcast.Rekeyed ->
+      rekey_root t ~node ~root ~inc;
+      true
 
 (* Apply one flow-event broadcast at a node: update the node's view of the
    traffic matrix (Per_node) and the global visibility counter. In reliable
@@ -412,6 +410,14 @@ let apply_bcast_event t ~node bcast_id =
         | None -> ()
       end
 
+(* Apply the events window [w] holds buffered behind its last delivery. *)
+let rec drain_window t ~node w =
+  match Rbcast.take_next t.rx w with
+  | Some bcast_id ->
+      apply_bcast_event t ~node bcast_id;
+      drain_window t ~node w
+  | None -> ()
+
 (* A NACK with an empty range ([to_seq < from_seq]) is a full-state sync
    request — sent when a node is sequence-caught-up with an origin yet
    hashes to a different live-flow set. *)
@@ -422,10 +428,12 @@ let send_nack t ~node ~root ~tree ~from_seq ~to_seq =
   then begin
     if to_seq < from_seq then t.sync_requests <- t.sync_requests + 1
     else t.nacks_sent <- t.nacks_sent + 1;
+    (* One ECMP path per (root, tree) stream. *)
     let route =
       Net.intern_route t.net
-        (Routing.ecmp_path t.rctx ~flow_id:(win_key t ~root ~tree) ~src:node
-           ~dst:root)
+        (Routing.ecmp_path t.rctx
+           ~flow_id:((root * t.cfg.trees_per_source) + tree)
+           ~src:node ~dst:root)
     in
     Net.send_nack t.net ~root ~tree ~from_seq ~to_seq ~requester:node
       ~bytes:Wire.nack_size ~route;
@@ -435,25 +443,32 @@ let send_nack t ~node ~root ~tree ~from_seq ~to_seq =
 (* The per-window repair timer: armed on the first sign of a gap (an
    out-of-order arrival or a digest advertising unseen sequences), it NACKs
    every open range after a short delay and re-arms until the window is
-   whole — so a lost repair is simply requested again. *)
+   whole — so a lost repair is simply requested again. A timer that
+   outlives its window's generation (a crash or restart wiped it, or a
+   newer incarnation re-keyed it) does nothing: the wipe or re-key also
+   dropped the latch, so the window arms a timer of its own when needed. *)
 let rec schedule_nack t ~node ~root ~tree w =
-  if Rbcast.arm w.rx then
-    Engine.after t.eng t.cfg.nack_delay_ns (fun () -> fire_nack t ~node ~root ~tree w)
+  if Rbcast.arm t.rx w then begin
+    let gen = Rbcast.generation t.rx w in
+    Engine.after t.eng t.cfg.nack_delay_ns (fun () -> fire_nack t ~node ~root ~tree w gen)
+  end
 
-and fire_nack t ~node ~root ~tree w =
-  Rbcast.disarm w.rx;
-  if
-    Net.node_up t.net node && Net.node_up t.net root
-    && Topology.reachable t.topo node root
-  then begin
-    match Rbcast.missing w.rx ~upto:w.hi with
-    | [] -> ()
-    | gaps ->
-        List.iteri
-          (fun i (a, b) ->
-            if i < 4 then send_nack t ~node ~root ~tree ~from_seq:a ~to_seq:b)
-          gaps;
-        schedule_nack t ~node ~root ~tree w
+and fire_nack t ~node ~root ~tree w gen =
+  if Rbcast.generation t.rx w = gen then begin
+    Rbcast.disarm t.rx w;
+    if
+      Net.node_up t.net node && Net.node_up t.net root
+      && Topology.reachable t.topo node root
+    then begin
+      match Rbcast.missing t.rx w with
+      | [] -> ()
+      | gaps ->
+          List.iteri
+            (fun i (a, b) ->
+              if i < 4 then send_nack t ~node ~root ~tree ~from_seq:a ~to_seq:b)
+            gaps;
+          schedule_nack t ~node ~root ~tree w
+    end
   end
 
 (* Full-state repair (Per_node): the origin ships its live-flow ids and
@@ -503,11 +518,9 @@ let apply_sync t ~node ~root ~entries ~last_seqs =
        it are strictly newer and still apply. *)
     Array.iteri
       (fun tree last ->
-        let w = get_win t ~node ~root ~tree in
-        if last > w.hi then w.hi <- last;
-        List.iter
-          (fun (bid, _) -> apply_bcast_event t ~node bid)
-          (Rbcast.fast_forward w.rx ~next:(last + 1)))
+        let w = win t ~node ~root ~tree in
+        Rbcast.fast_forward t.rx w ~next:(last + 1);
+        drain_window t ~node w)
       last_seqs
   end
 
@@ -543,10 +556,7 @@ let purge_view_of t ~node ~src =
    forget the joiner's pre-crash flows. The joiner pulls full state itself
    with snapshot requests, so receivers only reset here. *)
 let handle_join t ~node ~joiner ~inc =
-  if reliable t then
-    for tree = 0 to t.cfg.trees_per_source - 1 do
-      ignore (win_ensure_inc (get_win t ~node ~root:joiner ~tree) ~inc)
-    done;
+  if reliable t then rekey_root t ~node ~root:joiner ~inc;
   if t.cfg.control = Per_node then purge_view_of t ~node ~src:joiner
 
 (* -- data plane: token-bucket pacing and source routing ------------------- *)
@@ -920,7 +930,10 @@ let rec reselect_loop t interval () =
 (* Every alive source beacons [(tree, epoch, last_seq, state hash)] on each
    tree that has ever carried one of its events. A receiver missing the
    tail of a burst — even its very last packet, which no gap could reveal —
-   sees [last_seq] ahead of its window and NACKs. *)
+   sees [last_seq] ahead of its window and NACKs. A restarted source
+   beacons tree 0 even before it sends anything: a node that lost the
+   JOIN learns the new incarnation from the digest, re-keys, and repairs
+   its view of the source through the hash check. *)
 let digest_round t =
   Array.iteri
     (fun src o ->
@@ -935,48 +948,19 @@ let digest_round t =
         let hash = Rbcast.state_hash o in
         for tree = 0 to t.cfg.trees_per_source - 1 do
           let last = Rbcast.last_seq o ~tree in
-          if last >= 0 then
+          if last >= 0 || (tree = 0 && Rbcast.incarnation o > 0) then
             Net.send_digest_tree t.net ~root:src ~tree ~epoch ~last_seq:last ~hash
               ~bytes:Wire.digest_size
         done
       end)
     t.origins
 
-(* Global-knowledge convergence test, used only to decide when the digest
-   loop may stop (and by tests): every alive node is sequence-caught-up
-   with every reachable origin, and (Per_node) believes exactly the
-   origin's live-flow set. *)
-let control_converged t =
-  let ok = ref true in
-  Array.iteri
-    (fun node _ ->
-      if Net.node_up t.net node then
-        Array.iteri
-          (fun root o ->
-            if
-              root <> node && Net.node_up t.net root
-              && Topology.reachable t.topo root node
-            then begin
-              for tree = 0 to t.cfg.trees_per_source - 1 do
-                let last = Rbcast.last_seq o ~tree in
-                if last >= 0 then
-                  match t.wins.(node).(win_key t ~root ~tree) with
-                  | Some w when Rbcast.next_expected w.rx > last -> ()
-                  | Some _ | None -> ok := false
-              done;
-              if
-                t.cfg.control = Per_node
-                && Rbcast.hash_ids (per_source_view_ids t ~node ~root)
-                   <> Rbcast.state_hash o
-              then ok := false
-            end)
-          t.origins)
-    t.wins;
-  !ok
-
-(* [control_converged] restricted to one node — the rejoin-completion
-   criterion: the restarted node is sequence-caught-up with every reachable
-   origin and (Per_node) believes exactly their live-flow sets. *)
+(* The rejoin-completion criterion, and with every node the convergence
+   test: [node] is sequence-caught-up with every reachable origin and
+   (Per_node) believes exactly their live-flow sets. A window counts as
+   caught up only past both the origin's last sequence and the highest
+   one it heard of: after an unannounced restart the origin's sequence
+   space is empty while the window still waits on the old one. *)
 let node_caught_up t ~node =
   let ok = ref true in
   Array.iteri
@@ -986,11 +970,11 @@ let node_caught_up t ~node =
         && Topology.reachable t.topo root node
       then begin
         for tree = 0 to t.cfg.trees_per_source - 1 do
-          let last = Rbcast.last_seq o ~tree in
-          if last >= 0 then
-            match t.wins.(node).(win_key t ~root ~tree) with
-            | Some w when Rbcast.next_expected w.rx > last -> ()
-            | Some _ | None -> ok := false
+          let w = win t ~node ~root ~tree in
+          if
+            Rbcast.next_expected t.rx w <= Rbcast.last_seq o ~tree
+            || not (Rbcast.caught_up t.rx w)
+          then ok := false
         done;
         if
           t.cfg.control = Per_node
@@ -998,6 +982,16 @@ let node_caught_up t ~node =
              <> Rbcast.state_hash o
         then ok := false
       end)
+    t.origins;
+  !ok
+
+(* Global-knowledge convergence test, used only to decide when the digest
+   loop may stop (and by tests). *)
+let control_converged t =
+  let ok = ref true in
+  Array.iteri
+    (fun node _ ->
+      if Net.node_up t.net node && not (node_caught_up t ~node) then ok := false)
     t.origins;
   !ok
 
@@ -1253,7 +1247,7 @@ let crash_node_at t ~ns u =
   schedule_event t ~ns "crash"
     (fun () ->
       Net.fail_node t.net u;
-      if reliable t then Array.fill t.wins.(u) 0 (Array.length t.wins.(u)) None;
+      if reliable t then Rbcast.wipe_receiver t.rx ~receiver:u;
       if t.cfg.control = Per_node then Hashtbl.reset t.views.(u);
       Util.Tbl.iter_sorted ~cmp:Int.compare
         (fun _ st ->
@@ -1323,7 +1317,7 @@ let restart_node_at t ~ns u =
   Engine.at t.eng ns (fun () ->
       Net.restore_node t.net u;
       if reliable t then begin
-        Array.fill t.wins.(u) 0 (Array.length t.wins.(u)) None;
+        Rbcast.wipe_receiver t.rx ~receiver:u;
         ignore (Rbcast.restart t.origins.(u))
       end;
       if t.cfg.control = Per_node then Hashtbl.reset t.views.(u);
@@ -1533,13 +1527,10 @@ let create cfg topo =
            Array.init nverts (fun _ ->
                Rbcast.origin ~log_cap:cfg.bcast_log_cap ~trees:cfg.trees_per_source ())
          else [||]);
-      wins =
-        (if cfg.reliable_bcast && cfg.real_broadcast then
-           (* Each node ends up with one receive window per (root, tree)
-              but its own: trees_per_source * (nverts - 1) of the
-              trees_per_source * nverts slots. *)
-           Array.init nverts (fun _ -> Array.make (cfg.trees_per_source * nverts) None)
-         else [||]);
+      rx =
+        Rbcast.table
+          ~origins:(if cfg.reliable_bcast && cfg.real_broadcast then nverts else 0)
+          ~trees:cfg.trees_per_source ~receivers:nverts;
       chaos_on;
       digest_running = false;
       nacks_sent = 0;
@@ -1611,13 +1602,12 @@ let create cfg topo =
             ~inc:(Net.bcast_inc net pkt)
         else if reliable t then begin
           let root = Net.bcast_root net pkt and tree = Net.bcast_tree net pkt in
-          let seq = Net.bcast_seq net pkt in
-          let w = get_win t ~node ~root ~tree in
-          if win_ensure_inc w ~inc:(Net.bcast_inc net pkt) then begin
-            if seq > w.hi then w.hi <- seq;
-            match Rbcast.receive w.rx ~seq (bcast_id, Net.bytes net pkt) with
-            | Rbcast.Deliver ps ->
-                List.iter (fun (bid, _) -> apply_bcast_event t ~node bid) ps
+          let w = win t ~node ~root ~tree in
+          if accept_inc t ~node ~root w ~inc:(Net.bcast_inc net pkt) then begin
+            match Rbcast.receive t.rx w ~seq:(Net.bcast_seq net pkt) bcast_id with
+            | Rbcast.Deliver ->
+                apply_bcast_event t ~node bcast_id;
+                drain_window t ~node w
             | Rbcast.Duplicate -> ()
             | Rbcast.Buffered -> schedule_nack t ~node ~root ~tree w
           end
@@ -1628,10 +1618,10 @@ let create cfg topo =
         let root = Net.digest_root net pkt and tree = Net.digest_tree net pkt in
         let last_seq = Net.digest_last_seq net pkt in
         if reliable t then begin
-            let w = get_win t ~node ~root ~tree in
-            if win_ensure_inc w ~inc:(Net.digest_epoch net pkt lsr 32) then begin
-            if last_seq > w.hi then w.hi <- last_seq;
-            let next = Rbcast.next_expected w.rx in
+            let w = win t ~node ~root ~tree in
+            if accept_inc t ~node ~root w ~inc:(Net.digest_epoch net pkt lsr 32) then begin
+            Rbcast.advertise t.rx w ~last:last_seq;
+            let next = Rbcast.next_expected t.rx w in
             if next <= last_seq then schedule_nack t ~node ~root ~tree w
             else if cfg.control = Per_node && next = last_seq + 1 then begin
               (* Sequence-caught-up on every tree of this origin, yet the
@@ -1642,8 +1632,8 @@ let create cfg topo =
                  first. *)
               let all_caught_up = ref true in
               for tr = 0 to cfg.trees_per_source - 1 do
-                let wt = get_win t ~node ~root ~tree:tr in
-                if Rbcast.next_expected wt.rx <= wt.hi then all_caught_up := false
+                if not (Rbcast.caught_up t.rx (win t ~node ~root ~tree:tr)) then
+                  all_caught_up := false
               done;
               if
                 !all_caught_up
@@ -1863,12 +1853,7 @@ let diverged_nodes t =
     !total - !modal
   end
 
-let dup_events_absorbed t =
-  Array.fold_left
-    (Array.fold_left (fun acc -> function
-       | Some w -> acc + Rbcast.duplicates w.rx
-       | None -> acc))
-    0 t.wins
+let dup_events_absorbed t = Rbcast.total_duplicates t.rx
 
 let results t =
   {

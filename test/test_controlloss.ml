@@ -33,6 +33,20 @@ let reliability_dedup_under_loss () =
 
 (* -- Rbcast: sequence windows ---------------------------------------------- *)
 
+(* The buffered run a window releases, oldest first. *)
+let take_all tb w =
+  let rec go acc =
+    match Rbcast.take_next tb w with Some q -> go (q :: acc) | None -> List.rev acc
+  in
+  go []
+
+(* Feed one packet to a window; on [Deliver], the in-order run it
+   releases: the packet itself, then its buffered successors. *)
+let receive_run tb w ~seq p =
+  match Rbcast.receive tb w ~seq p with
+  | Rbcast.Deliver -> (Rbcast.Deliver, p :: take_all tb w)
+  | (Rbcast.Duplicate | Rbcast.Buffered) as v -> (v, [])
+
 let rbcast_window_orders_and_dedups () =
   let o = Rbcast.origin ~trees:2 () in
   let s0 = Rbcast.send o ~tree:0 "a" in
@@ -40,22 +54,236 @@ let rbcast_window_orders_and_dedups () =
   let s2 = Rbcast.send o ~tree:0 "c" in
   Alcotest.(check (list int)) "per-tree seqs are dense" [ 0; 1; 2 ] [ s0; s1; s2 ];
   Alcotest.(check int) "other tree has its own space" 0 (Rbcast.send o ~tree:1 "x");
-  let r = Rbcast.rx () in
-  (match Rbcast.receive r ~seq:1 "b" with
+  let tb = Rbcast.table ~origins:1 ~trees:2 ~receivers:1 in
+  let r = Rbcast.win tb ~origin:0 ~tree:0 ~receiver:0 in
+  (match Rbcast.receive tb r ~seq:1 "b" with
   | Rbcast.Buffered -> ()
-  | Rbcast.Deliver _ | Rbcast.Duplicate -> Alcotest.fail "seq 1 before 0 must buffer");
-  Alcotest.(check (list (pair int int))) "gap is visible" [ (0, 0) ] (Rbcast.missing r ~upto:1);
-  (match Rbcast.receive r ~seq:0 "a" with
-  | Rbcast.Deliver ps -> Alcotest.(check (list string)) "in order" [ "a"; "b" ] ps
-  | Rbcast.Buffered | Rbcast.Duplicate -> Alcotest.fail "seq 0 must release the window");
-  (match Rbcast.receive r ~seq:0 "a" with
+  | Rbcast.Deliver | Rbcast.Duplicate -> Alcotest.fail "seq 1 before 0 must buffer");
+  Alcotest.(check (list (pair int int))) "gap is visible" [ (0, 0) ] (Rbcast.missing tb r);
+  (match receive_run tb r ~seq:0 "a" with
+  | Rbcast.Deliver, ps -> Alcotest.(check (list string)) "in order" [ "a"; "b" ] ps
+  | (Rbcast.Buffered | Rbcast.Duplicate), _ -> Alcotest.fail "seq 0 must release the window");
+  (match Rbcast.receive tb r ~seq:0 "a" with
   | Rbcast.Duplicate -> ()
-  | Rbcast.Deliver _ | Rbcast.Buffered -> Alcotest.fail "replayed seq must dedup");
-  Alcotest.(check int) "duplicate counted" 1 (Rbcast.duplicates r);
-  (match Rbcast.receive r ~seq:2 "c" with
-  | Rbcast.Deliver ps -> Alcotest.(check (list string)) "tail" [ "c" ] ps
-  | Rbcast.Buffered | Rbcast.Duplicate -> Alcotest.fail "seq 2 must deliver");
+  | Rbcast.Deliver | Rbcast.Buffered -> Alcotest.fail "replayed seq must dedup");
+  Alcotest.(check int) "duplicate counted" 1 (Rbcast.duplicates tb r);
+  (match receive_run tb r ~seq:2 "c" with
+  | Rbcast.Deliver, ps -> Alcotest.(check (list string)) "tail" [ "c" ] ps
+  | (Rbcast.Buffered | Rbcast.Duplicate), _ -> Alcotest.fail "seq 2 must deliver");
   Alcotest.(check (option string)) "origin replays" (Some "b") (Rbcast.replay o ~tree:0 ~seq:1)
+
+(* The reference semantics the flat window table must keep: one heap
+   record per window, as the receive windows were first written, with the
+   [hi] bound and the timer generation kept beside it the way its callers
+   did. *)
+module Rx_oracle = struct
+  type 'a t = {
+    mutable rnext : int;
+    pending : (int, 'a) Hashtbl.t;
+    mutable dups : int;
+    mutable armed : bool;
+    mutable rinc : int;
+    mutable hi : int;
+    mutable gen : int;
+  }
+
+  let create () =
+    { rnext = 0; pending = Hashtbl.create 8; dups = 0; armed = false; rinc = 0; hi = -1; gen = 0 }
+
+  let wipe r =
+    Hashtbl.reset r.pending;
+    r.rnext <- 0;
+    r.dups <- 0;
+    r.armed <- false;
+    r.rinc <- 0;
+    r.hi <- -1;
+    r.gen <- r.gen + 1
+
+  let observe_incarnation r ~inc =
+    if inc < r.rinc then Rbcast.Stale
+    else if inc = r.rinc then Rbcast.Current
+    else begin
+      Hashtbl.reset r.pending;
+      r.rnext <- 0;
+      r.armed <- false;
+      r.rinc <- inc;
+      r.hi <- -1;
+      r.gen <- r.gen + 1;
+      Rbcast.Rekeyed
+    end
+
+  let drain r acc =
+    let rec go acc =
+      match Hashtbl.find_opt r.pending r.rnext with
+      | Some p ->
+          Hashtbl.remove r.pending r.rnext;
+          r.rnext <- r.rnext + 1;
+          go (p :: acc)
+      | None -> List.rev acc
+    in
+    go acc
+
+  let receive r ~seq p =
+    if seq > r.hi then r.hi <- seq;
+    if seq < r.rnext || Hashtbl.mem r.pending seq then begin
+      r.dups <- r.dups + 1;
+      (Rbcast.Duplicate, [])
+    end
+    else if seq = r.rnext then begin
+      r.rnext <- r.rnext + 1;
+      (Rbcast.Deliver, drain r [ p ])
+    end
+    else begin
+      Hashtbl.replace r.pending seq p;
+      (Rbcast.Buffered, [])
+    end
+
+  let missing r =
+    let out = ref [] and from = ref (-1) in
+    for s = r.rnext to r.hi do
+      if Hashtbl.mem r.pending s then begin
+        if !from >= 0 then begin
+          out := (!from, s - 1) :: !out;
+          from := -1
+        end
+      end
+      else if !from < 0 then from := s
+    done;
+    if !from >= 0 then out := (!from, r.hi) :: !out;
+    List.rev !out
+
+  let fast_forward r ~next =
+    if next - 1 > r.hi then r.hi <- next - 1;
+    if next <= r.rnext then []
+    else begin
+      Array.iter
+        (fun s -> if s < next then Hashtbl.remove r.pending s)
+        (Util.Tbl.sorted_keys ~cmp:Int.compare r.pending);
+      r.rnext <- next;
+      drain r []
+    end
+
+  let arm r =
+    if r.armed then false
+    else begin
+      r.armed <- true;
+      true
+    end
+end
+
+type rx_op =
+  | Recv of int * int  (* window, seq *)
+  | Inc of int * int  (* window, incarnation *)
+  | Advertise of int * int  (* window, last *)
+  | Ffwd of int * int  (* window, next *)
+  | Arm of int
+  | Disarm of int
+  | Wipe of int  (* receiver *)
+
+let rx_origins, rx_trees, rx_receivers = (2, 2, 3)
+let rx_windows = rx_origins * rx_trees * rx_receivers
+
+let show_rx_op = function
+  | Recv (w, s) -> Printf.sprintf "recv w%d s%d" w s
+  | Inc (w, i) -> Printf.sprintf "inc w%d %d" w i
+  | Advertise (w, l) -> Printf.sprintf "adv w%d %d" w l
+  | Ffwd (w, n) -> Printf.sprintf "ffwd w%d %d" w n
+  | Arm w -> Printf.sprintf "arm w%d" w
+  | Disarm w -> Printf.sprintf "disarm w%d" w
+  | Wipe r -> Printf.sprintf "wipe r%d" r
+
+let gen_rx_ops =
+  let open QCheck.Gen in
+  let w = int_bound (rx_windows - 1) in
+  list_size (int_range 1 80)
+    (frequency
+       [
+         (8, map2 (fun w s -> Recv (w, s)) w (int_bound 12));
+         (2, map2 (fun w i -> Inc (w, i)) w (int_bound 3));
+         (2, map2 (fun w l -> Advertise (w, l)) w (int_range (-1) 14));
+         (2, map2 (fun w n -> Ffwd (w, n)) w (int_bound 14));
+         (2, map (fun w -> Arm w) w);
+         (1, map (fun w -> Disarm w) w);
+         (1, map (fun r -> Wipe r) (int_bound (rx_receivers - 1)));
+       ])
+
+let verdict_name = function
+  | Rbcast.Deliver -> "deliver"
+  | Rbcast.Duplicate -> "duplicate"
+  | Rbcast.Buffered -> "buffered"
+
+let keying_name = function
+  | Rbcast.Stale -> "stale"
+  | Rbcast.Current -> "current"
+  | Rbcast.Rekeyed -> "rekeyed"
+
+(* Drive the table and one oracle record per window through the same
+   operations. Window ids enumerate (origin, tree, receiver) in the
+   table's own order, so window [w] belongs to receiver [w mod
+   receivers]. *)
+let qcheck_window_table_matches_oracle =
+  QCheck.Test.make ~name:"flat window table = per-window rx oracle" ~count:500
+    (QCheck.make ~print:(QCheck.Print.list show_rx_op) gen_rx_ops)
+    (fun ops ->
+      let tb = Rbcast.table ~origins:rx_origins ~trees:rx_trees ~receivers:rx_receivers in
+      let ids =
+        Array.init rx_windows (fun i ->
+            let receiver = i mod rx_receivers and ot = i / rx_receivers in
+            Rbcast.win tb ~origin:(ot / rx_trees) ~tree:(ot mod rx_trees) ~receiver)
+      in
+      Array.iteri (fun i w -> if w <> i then QCheck.Test.fail_reportf "win id %d <> %d" w i) ids;
+      let ora = Array.init rx_windows (fun _ -> Rx_oracle.create ()) in
+      let payload = ref 0 in
+      let check_eq what a b = if a <> b then QCheck.Test.fail_reportf "%s differs" what in
+      List.iter
+        (fun op ->
+          let gens = Array.map (Rbcast.generation tb) ids in
+          let ogens = Array.map (fun (r : int Rx_oracle.t) -> r.gen) ora in
+          (match op with
+          | Recv (w, seq) ->
+              incr payload;
+              let v, run = receive_run tb w ~seq !payload in
+              let ov, orun = Rx_oracle.receive ora.(w) ~seq !payload in
+              check_eq
+                (Printf.sprintf "verdict (%s vs %s)" (verdict_name v) (verdict_name ov))
+                v ov;
+              check_eq "delivery order" run orun
+          | Inc (w, inc) ->
+              let k = Rbcast.observe_incarnation tb w ~inc in
+              let ok = Rx_oracle.observe_incarnation ora.(w) ~inc in
+              check_eq
+                (Printf.sprintf "keying (%s vs %s)" (keying_name k) (keying_name ok))
+                k ok
+          | Advertise (w, last) ->
+              Rbcast.advertise tb w ~last;
+              if last > ora.(w).hi then ora.(w).hi <- last
+          | Ffwd (w, next) ->
+              Rbcast.fast_forward tb w ~next;
+              check_eq "fast-forward run" (take_all tb w) (Rx_oracle.fast_forward ora.(w) ~next)
+          | Arm w -> check_eq "arm" (Rbcast.arm tb w) (Rx_oracle.arm ora.(w))
+          | Disarm w ->
+              Rbcast.disarm tb w;
+              ora.(w).armed <- false
+          | Wipe receiver ->
+              Rbcast.wipe_receiver tb ~receiver;
+              Array.iteri (fun w r -> if w mod rx_receivers = receiver then Rx_oracle.wipe r) ora);
+          Array.iteri
+            (fun w (r : int Rx_oracle.t) ->
+              check_eq "next expected" (Rbcast.next_expected tb w) r.rnext;
+              check_eq "hi" (Rbcast.highest tb w) r.hi;
+              check_eq "incarnation" (Rbcast.incarnation_of tb w) r.rinc;
+              check_eq "duplicates" (Rbcast.duplicates tb w) r.dups;
+              check_eq "pending" (Rbcast.pending_count tb w) (Hashtbl.length r.pending);
+              check_eq "gaps" (Rbcast.missing tb w) (Rx_oracle.missing r);
+              check_eq "caught up" (Rbcast.caught_up tb w) (r.rnext > r.hi);
+              check_eq "generation moved"
+                (Rbcast.generation tb w <> gens.(w))
+                (r.gen <> ogens.(w)))
+            ora;
+          check_eq "total duplicates" (Rbcast.total_duplicates tb)
+            (Array.fold_left (fun acc (r : int Rx_oracle.t) -> acc + r.dups) 0 ora))
+        ops;
+      true)
 
 (* -- View: replica repair from the sequenced stream ------------------------ *)
 
@@ -513,6 +741,7 @@ let suites =
       [
         tc "reliability dedups on seq under loss" reliability_dedup_under_loss;
         tc "rbcast window orders and dedups" rbcast_window_orders_and_dedups;
+        QCheck_alcotest.to_alcotest qcheck_window_table_matches_oracle;
         tc "view NACK repair heals all loss" view_nack_repair_heals_all_loss;
         tc "view batched repair heals all loss" view_batched_repair_heals_all_loss;
         tc "view dedups duplicates" view_dedups_duplicates;

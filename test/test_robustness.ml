@@ -21,38 +21,44 @@ let rbcast_restart_bumps_incarnation () =
 
 (* The satellite regression: a receive window surviving an origin crash
    keeps its old sequence position, so the fresh incarnation's seq 0 is
-   absorbed as a duplicate and the event silently lost. [ensure_epoch]
-   re-keys the window to the incarnation and is the fix. *)
+   absorbed as a duplicate and the event silently lost.
+   [observe_incarnation] re-keys the window to the incarnation and is the
+   fix. *)
 let stale_window_duplicate_regression () =
   let o = Rbcast.origin ~trees:1 () in
-  let r = Rbcast.rx () in
+  let tb = Rbcast.table ~origins:1 ~trees:1 ~receivers:1 in
+  let r = Rbcast.win tb ~origin:0 ~tree:0 ~receiver:0 in
   ignore (Rbcast.send o ~tree:0 "a");
   ignore (Rbcast.send o ~tree:0 "b");
-  (match Rbcast.receive r ~seq:0 "a" with
-  | Rbcast.Deliver _ -> ()
+  (match Rbcast.receive tb r ~seq:0 "a" with
+  | Rbcast.Deliver -> ()
   | Rbcast.Duplicate | Rbcast.Buffered -> Alcotest.fail "first life seq 0");
-  (match Rbcast.receive r ~seq:1 "b" with
-  | Rbcast.Deliver _ -> ()
+  (match Rbcast.receive tb r ~seq:1 "b" with
+  | Rbcast.Deliver -> ()
   | Rbcast.Duplicate | Rbcast.Buffered -> Alcotest.fail "first life seq 1");
   let inc = Rbcast.restart o in
   let seq = Rbcast.send o ~tree:0 "c" in
   Alcotest.(check int) "new life starts at seq 0" 0 seq;
   (* The hazard itself: without re-keying, the stale window eats it. *)
-  (match Rbcast.receive r ~seq "c" with
+  (match Rbcast.receive tb r ~seq "c" with
   | Rbcast.Duplicate -> ()
-  | Rbcast.Deliver _ | Rbcast.Buffered ->
+  | Rbcast.Deliver | Rbcast.Buffered ->
       Alcotest.fail "hazard gone: stale window no longer absorbs seq 0");
-  Alcotest.(check bool) "new incarnation re-keys" true (Rbcast.ensure_epoch r ~epoch:inc);
-  Alcotest.(check int) "window speaks the new incarnation" inc (Rbcast.rx_incarnation r);
-  Alcotest.(check bool) "old incarnation now stale" false
-    (Rbcast.ensure_epoch r ~epoch:(inc - 1));
-  (match Rbcast.receive r ~seq "c" with
-  | Rbcast.Deliver ps -> Alcotest.(check (list string)) "new life delivers" [ "c" ] ps
+  Alcotest.(check bool) "new incarnation re-keys" true
+    (Rbcast.observe_incarnation tb r ~inc = Rbcast.Rekeyed);
+  Alcotest.(check int) "window speaks the new incarnation" inc (Rbcast.incarnation_of tb r);
+  Alcotest.(check bool) "old incarnation now stale" true
+    (Rbcast.observe_incarnation tb r ~inc:(inc - 1) = Rbcast.Stale);
+  (match Rbcast.receive tb r ~seq "c" with
+  | Rbcast.Deliver ->
+      Alcotest.(check (option string)) "new life delivers only itself" None
+        (Rbcast.take_next tb r)
   | Rbcast.Duplicate | Rbcast.Buffered -> Alcotest.fail "post-restart event lost");
-  (match Rbcast.receive r ~seq "c" with
+  (match Rbcast.receive tb r ~seq "c" with
   | Rbcast.Duplicate -> ()
-  | Rbcast.Deliver _ | Rbcast.Buffered -> Alcotest.fail "dedup broke after re-key");
-  Alcotest.(check bool) "same incarnation is a no-op" true (Rbcast.ensure_epoch r ~epoch:inc)
+  | Rbcast.Deliver | Rbcast.Buffered -> Alcotest.fail "dedup broke after re-key");
+  Alcotest.(check bool) "same incarnation is a no-op" true
+    (Rbcast.observe_incarnation tb r ~inc = Rbcast.Current)
 
 (* -- Stack / View: restart, JOIN, snapshot request -------------------------- *)
 
@@ -258,6 +264,58 @@ let crash_restart_rejoins () =
   Alcotest.(check int) "byte conservation across the crash" r.injected_payload
     (r.delivered_payload + r.dropped_payload + r.blackholed_payload)
 
+(* Crash-restart of node 13 under control loss on the 27-flow permutation
+   of 50 KB flows, run to 200 ms: far past the last completion, so
+   anything still queued is a timer or loop that never stops. *)
+let check_goes_idle ~seed ~loss ~crash ~restart =
+  let topo = Topology.torus [| 3; 3; 3 |] in
+  let t =
+    Sim.R2c2_sim.create { (sim_cfg ~seed ()) with control_loss = U.fraction loss } topo
+  in
+  permutation t topo ~size:50_000;
+  Sim.R2c2_sim.crash_node_at t ~ns:crash 13;
+  Sim.R2c2_sim.restart_node_at t ~ns:restart 13;
+  Sim.R2c2_sim.run_engine ~until_ns:200_000_000 t;
+  let r = Sim.R2c2_sim.results t in
+  let what =
+    Printf.sprintf "seed %d, crash %d ns, restart %d ns, loss %.2f" seed crash restart loss
+  in
+  Alcotest.(check int) (what ^ ": nothing left queued") 0
+    (Sim.Engine.pending (Sim.R2c2_sim.engine t));
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: NACKs bounded (%d)" what r.Sim.R2c2_sim.nacks_sent)
+    true
+    (r.Sim.R2c2_sim.nacks_sent < 2_000);
+  Alcotest.(check bool) (what ^ ": control plane converged") true
+    (Sim.R2c2_sim.control_converged t);
+  Alcotest.(check int) (what ^ ": zero terminal divergence") 0 r.Sim.R2c2_sim.terminal_diverged
+
+(* A restart 3 us after the crash: a NACK timer armed before the crash
+   fires with the node already back. It must not keep NACKing the gap of
+   the window the crash wiped (it did, every [nack_delay_ns], forever). *)
+let quick_restart_stops_stale_nack_timer () =
+  check_goes_idle ~seed:12 ~loss:0.05 ~crash:56_000 ~restart:59_000
+
+(* Nodes that lost the JOIN of a restarted origin that then sends nothing
+   keep its pre-crash flows: its digests must still reach them, re-key
+   every tree of that origin and trigger the repairing sync. *)
+let quiet_restarted_origin_is_repaired () =
+  check_goes_idle ~seed:7 ~loss:0.05 ~crash:52_000 ~restart:552_000
+
+(* More points of the seed x crash-time x restart-gap x loss sweep that
+   stayed busy at 200 ms. *)
+let restart_sweep_goes_idle () =
+  List.iter
+    (fun (seed, loss, crash, gap) ->
+      check_goes_idle ~seed ~loss ~crash ~restart:(crash + gap))
+    [
+      (1, 0.05, 48_000, 3_000);
+      (2, 0.05, 56_000, 500_000);
+      (1, 0.30, 60_000, 3_000);
+      (3, 0.30, 52_000, 500_000);
+      (9, 0.30, 60_000, 3_000);
+    ]
+
 (* -- chaos-scenario engine -------------------------------------------------- *)
 
 let all_invariants =
@@ -417,6 +475,9 @@ let suites =
         tc "quarantine demotes spray" quarantine_demotes_spray;
         tc "flaky link quarantined and recovered" flaky_quarantine_and_recovery;
         tc "crash-restart rejoins" crash_restart_rejoins;
+        tc "quick restart stops stale NACK timer" quick_restart_stops_stale_nack_timer;
+        tc "quiet restarted origin is repaired" quiet_restarted_origin_is_repaired;
+        tc "restart sweep goes idle" restart_sweep_goes_idle;
         tc "scenario: clean run, no violations" scenario_clean_run_no_violations;
         tc "scenario: partition heals" scenario_partition_heals;
         tc "scenario: violations reported" scenario_reports_violations;

@@ -248,6 +248,36 @@ let r2c2_digest_round_zero_alloc () =
     (Printf.sprintf "minor words per digest hop ~ 0 (got %.3f)" per_hop)
     true (per_hop < 0.05)
 
+let r2c2_reliable_event_hop_zero_alloc () =
+  (* An accepted in-order event passes its (root, tree) receive window and
+     is applied as the bare event id the packet carries: no delivery list,
+     no payload tuple, no probe of the out-of-order buffers. Each round
+     floods one sequenced broadcast per (root, tree), carrying the next
+     sequence number of every window it reaches. *)
+  let topo = Topology.torus [| 4; 4; 4 |] in
+  let cfg = { Sim.R2c2_sim.default_config with reliable_bcast = true } in
+  let t = Sim.R2c2_sim.create cfg topo in
+  let net = Sim.R2c2_sim.net t in
+  let seq = ref 0 in
+  let per_hop =
+    words_per_hop ~hops:flood_hops (fun () ->
+        for root = 0 to 63 do
+          for tree = 0 to 3 do
+            Sim.Net.send_bcast net ~seq:!seq ~root ~tree ~bcast_id:(-1)
+              ~bytes:Wire.seq_broadcast_size ()
+          done
+        done;
+        incr seq;
+        Sim.R2c2_sim.run_engine t)
+  in
+  Alcotest.(check int) "two rounds of event hops" (2 * flood_hops) (Sim.Net.ctrl_hops net);
+  let r = Sim.R2c2_sim.results t in
+  Alcotest.(check (pair int int)) "every copy in order: no duplicate, no gap" (0, 0)
+    (r.Sim.R2c2_sim.dup_events_absorbed, r.Sim.R2c2_sim.nacks_sent);
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per reliable event hop ~ 0 (got %.3f)" per_hop)
+    true (per_hop < 0.05)
+
 (* -- metrics --------------------------------------------------------------- *)
 
 let metrics_flow_lifecycle () =
@@ -876,6 +906,7 @@ let suites =
         tc "live routing reselection (SS3.4)" r2c2_live_reselection;
         tc "reselection does not regress" r2c2_reselection_not_worse;
         tc "reliable digest round allocates nothing" r2c2_digest_round_zero_alloc;
+        tc "reliable event hop allocates nothing" r2c2_reliable_event_hop_zero_alloc;
       ] );
     ( "sim.tcp",
       [
