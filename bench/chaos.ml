@@ -111,10 +111,7 @@ let run ~quick () =
   let topo = Topology.torus dims in
   let h = Topology.host_count topo in
   let shift = (h / 2) + 3 in
-  let detection =
-    let tx_16b = 13 (* 16 B at 10 Gbps, rounded up *) in
-    2 * Topology.diameter topo * (Sim.R2c2_sim.default_config.hop_latency_ns + tx_16b)
-  in
+  let detection = Sim.R2c2_sim.detection_delay Sim.R2c2_sim.default_config topo in
   (* Recovery bound: topology discovery (two broadcast depths) plus one
      rate-recompute interval, with 1 us of event-ordering slack. *)
   let bound = detection + interval + 1_000 in

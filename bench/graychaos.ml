@@ -126,10 +126,7 @@ let run ~quick () =
   let topo = Topology.torus dims in
   let h = Topology.host_count topo in
   let shift = (h / 2) + 3 in
-  let detection =
-    let tx_16b = 13 in
-    2 * Topology.diameter topo * (Sim.R2c2_sim.default_config.hop_latency_ns + tx_16b)
-  in
+  let detection = Sim.R2c2_sim.detection_delay Sim.R2c2_sim.default_config topo in
   (* Rejoin bound: the restarted node is detected and re-attached within
      one detection delay, announces its JOIN, pulls snapshots, and closes
      the gap through NACK replay. Completion additionally requires being
@@ -140,7 +137,7 @@ let run ~quick () =
      staying a small fraction of the run. *)
   let digest = 50_000 in
   let rejoin_bound =
-    detection + (2 * Sim.R2c2_sim.default_config.rejoin_retry_ns) + (10 * digest)
+    detection + (2 * Sim.R2c2_sim.rejoin_retry_ns) + (10 * digest)
   in
   let crashed = 100 in
   let gray1 = (7, cable topo 7) in

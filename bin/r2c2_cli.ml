@@ -176,7 +176,14 @@ let simulate_cmd =
               (if reselect > 0.0 then Some (int_of_float (reselect *. 1000.0)) else None);
           }
         in
-        let res = Sim.R2c2_sim.run cfg t specs in
+        let res =
+          (* A config the simulator rejects (e.g. --rho-us 0) is a usage
+             error, reported instead of raised. *)
+          try Sim.R2c2_sim.run cfg t specs
+          with Invalid_argument msg ->
+            Format.eprintf "r2c2_cli: %s@." msg;
+            exit Cmd.Exit.some_error
+        in
         report_metrics total res.Sim.R2c2_sim.metrics;
         report_queues res.Sim.R2c2_sim.max_queue;
         let ctrl = Util.Units.to_float res.Sim.R2c2_sim.control_wire_bytes in

@@ -205,6 +205,22 @@ let observe_incarnation tb w ~inc =
     Rekeyed
   end
 
+(* A newer incarnation re-keys every tree of the origin at the receiver,
+   not just the window it arrived on: a sibling left on the old
+   incarnation keeps its pre-crash [hi] and holds the receiver
+   sequence-behind forever. Since every re-key goes through here, the
+   trees of one origin at one receiver are always keyed alike. *)
+let observe_origin_incarnation tb w ~inc =
+  match observe_incarnation tb w ~inc with
+  | (Stale | Current) as k -> k
+  | Rekeyed ->
+      let receiver = w mod tb.receivers in
+      let tree0 = w / tb.receivers / tb.trees * tb.trees in
+      for tree = 0 to tb.trees - 1 do
+        ignore (observe_incarnation tb (((tree0 + tree) * tb.receivers) + receiver) ~inc)
+      done;
+      Rekeyed
+
 let advertise tb w ~last =
   if last > highest tb w then (block tb w).(off tb w + w_hi) <- last
 

@@ -123,6 +123,13 @@ val observe_incarnation : 'a table -> int -> inc:int -> keying
     restarted origin's fresh sequence 0 would be absorbed as a duplicate
     of the pre-crash run. The duplicate count survives. *)
 
+val observe_origin_incarnation : 'a table -> int -> inc:int -> keying
+(** {!observe_incarnation} for the whole origin: when window [w] re-keys,
+    every other tree of [w]'s origin at [w]'s receiver re-keys to [inc]
+    with it. Receivers call this on every broadcast, digest and JOIN, so
+    the trees of one origin at one receiver always share an incarnation.
+    Allocates nothing once the origin's blocks exist. *)
+
 val incarnation_of : 'a table -> int -> int
 (** The origin incarnation the window is currently keyed to. *)
 

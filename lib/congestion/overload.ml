@@ -2,9 +2,9 @@
    AIMD backpressure pacer (paper §3.3.2 priorities, defended under
    offered load beyond rack capacity).
 
-   Two small state machines share this module because both the simulator
-   (lib/sim) and the application stack (lib/core) need them and lib/sim
-   cannot see lib/core:
+   Three small state machines share this module because both the
+   simulator (lib/sim) and the application stack (lib/core) need them and
+   lib/sim cannot see lib/core:
 
    - [Admission] turns a per-epoch overload verdict (queue occupancy above
      the high watermark somewhere) into a shed floor: the lowest priority
@@ -17,7 +17,11 @@
    - [Pacer] holds one sender's multiplicative-decrease /
      additive-increase rate scale: each PAUSE level received multiplies
      the scale by [backoff]^level (clamped at [min_scale]); every clean
-     epoch adds [recovery] back until the scale reaches 1. *)
+     epoch adds [recovery] back until the scale reaches 1.
+
+   - [Headroom] is graceful degradation under control-packet loss: an
+     EWMA of the observed loss fraction widens the waterfill headroom, so
+     stale views overbook less while repairs are in flight. *)
 
 module Admission = struct
   type t = {
@@ -91,4 +95,24 @@ module Pacer = struct
 
   let note_clean_epoch t = t.scale <- Float.min 1.0 (t.scale +. t.recovery)
   let reset t = t.scale <- 1.0
+end
+
+module Headroom = struct
+  let gain = 2.0
+  let cap = Util.Units.fraction 0.30
+
+  (* All-float record: stored flat, so updating it allocates nothing. *)
+  type t = { base : float; mutable ewma : float; mutable effective : float }
+
+  let create ~base =
+    let base = (base : Util.Units.fraction :> float) in
+    { base; ewma = 0.0; effective = base }
+
+  let note_loss t ~sent ~lost =
+    if sent > 0 then
+      t.ewma <- (0.8 *. t.ewma) +. (0.2 *. (float_of_int lost /. float_of_int sent));
+    t.effective <- Float.min (cap : Util.Units.fraction :> float) (t.base +. (gain *. t.ewma))
+
+  let loss_ewma t = Util.Units.fraction t.ewma
+  let effective t = Util.Units.fraction t.effective
 end

@@ -1,9 +1,10 @@
 (** Overload control shared by the simulator and the application stack:
-    strict-priority admission/shedding with hysteresis, and an AIMD
-    backpressure pacer driven by PAUSE packets.
+    strict-priority admission/shedding with hysteresis, an AIMD
+    backpressure pacer driven by PAUSE packets, and the loss-scaled
+    waterfill headroom.
 
-    Both machines are driven once per rate epoch and are allocation-free
-    after construction. *)
+    All three are driven once per rate epoch and are allocation-free after
+    construction. *)
 
 (** Strict-priority load shedding. The shed floor starts above the lowest
     class (admit everything); every overloaded epoch lowers it by one class
@@ -54,4 +55,28 @@ module Pacer : sig
 
   val note_clean_epoch : t -> unit
   val reset : t -> unit
+end
+
+(** Graceful degradation under control-packet loss (§3.3): the waterfill
+    reserves [min cap (base + 2 * loss EWMA)] instead of the static [base]
+    headroom, so transiently stale views overbook less while the control
+    plane is struggling. Each interval's loss fraction enters the EWMA
+    with weight 0.2. *)
+module Headroom : sig
+  type t
+
+  val cap : Util.Units.fraction
+  (** 0.30: the loss-scaled reserve never exceeds this. *)
+
+  val create : base:Util.Units.fraction -> t
+  (** No loss seen yet; {!effective} starts at [base], uncapped until the
+      first {!note_loss}. *)
+
+  val note_loss : t -> sent:int -> lost:int -> unit
+  (** Fold one interval in which [lost] of [sent] control packets were
+      lost; [sent = 0] leaves the EWMA alone. Either way the effective
+      headroom is recomputed. Allocates nothing. *)
+
+  val loss_ewma : t -> Util.Units.fraction
+  val effective : t -> Util.Units.fraction
 end

@@ -6,9 +6,6 @@ type config = {
   trees_per_source : int;
   default_protocol : Routing.protocol;
   selection_choices : Routing.protocol array;
-  loss_headroom_gain : float;
-  max_headroom : U.fraction;
-  shed_recover_epochs : int;
 }
 
 let default_config =
@@ -18,9 +15,6 @@ let default_config =
     trees_per_source = 4;
     default_protocol = Routing.Rps;
     selection_choices = [| Routing.Rps; Routing.Vlb |];
-    loss_headroom_gain = 2.0;
-    max_headroom = U.fraction 0.30;
-    shed_recover_epochs = 3;
   }
 
 (* Priority classes the admission machinery distinguishes: one above the
@@ -62,8 +56,7 @@ type t = {
   origin : (Wire.broadcast * flow_id) Rbcast.origin;
   mutable event_retransmits : int;
   mutable syncs_sent : int;
-  mutable loss_ewma : float;  (* raw EWMA state; exposed as a fraction *)
-  mutable eff_headroom : float;  (* raw; exposed/applied as a fraction *)
+  loss_headroom : Congestion.Overload.Headroom.t;
   capacities : U.byte_rate array;
   alloc : Congestion.Waterfill.Inc.t;
       (* incremental epoch state: patched on every flow event, so a
@@ -75,12 +68,8 @@ type t = {
 }
 
 let create ?(config = default_config) ?(seed = 1) topo =
-  if config.loss_headroom_gain < 0.0 then
-    invalid_arg "Stack.create: loss_headroom_gain < 0";
-  if
-    U.compare_q config.max_headroom config.headroom < 0
-    || (config.max_headroom :> float) >= 1.0
-  then invalid_arg "Stack.create: max_headroom out of [headroom, 1)";
+  if U.compare_q Congestion.Overload.Headroom.cap config.headroom < 0 then
+    invalid_arg "Stack.create: headroom above the loss-scaled cap";
   let capacities =
     Array.make (Topology.link_count topo) (U.byte_rate_of_gbps config.link_gbps)
   in
@@ -99,14 +88,11 @@ let create ?(config = default_config) ?(seed = 1) topo =
     origin = Rbcast.origin ~trees:config.trees_per_source ();
     event_retransmits = 0;
     syncs_sent = 0;
-    loss_ewma = 0.0;
-    eff_headroom = (config.headroom :> float);
+    loss_headroom = Congestion.Overload.Headroom.create ~base:config.headroom;
     capacities;
     alloc = Congestion.Waterfill.Inc.create ~headroom:config.headroom ~capacities ();
     admission =
-      Congestion.Overload.Admission.create
-        ~clean_epochs_to_recover:config.shed_recover_epochs
-        ~max_priority:max_shed_class ();
+      Congestion.Overload.Admission.create ~max_priority:max_shed_class ();
     shed_flows = 0;
   }
 
@@ -326,8 +312,8 @@ let sample_packet_route t id rng =
 
 let control_bytes_sent t = t.control_bytes
 let reliability_bytes_sent t = t.reliability_bytes
-let loss_ewma t = U.fraction t.loss_ewma
-let effective_headroom t = U.fraction t.eff_headroom
+let loss_ewma t = Congestion.Overload.Headroom.loss_ewma t.loss_headroom
+let effective_headroom t = Congestion.Overload.Headroom.effective t.loss_headroom
 let syncs_sent t = t.syncs_sent
 let event_retransmits t = t.event_retransmits
 let last_seq t ~tree = Rbcast.last_seq t.origin ~tree
@@ -438,19 +424,10 @@ let snapshot_request ?(requester = 0) t ~root =
 
 let note_control_loss t ~sent ~lost =
   if sent < 0 || lost < 0 || lost > sent then invalid_arg "Stack.note_control_loss";
-  if sent > 0 then begin
-    let observed = float_of_int lost /. float_of_int sent in
-    t.loss_ewma <- (0.8 *. t.loss_ewma) +. (0.2 *. observed);
-    let eff =
-      Float.min
-        (t.cfg.max_headroom :> float)
-        ((t.cfg.headroom :> float) +. (t.cfg.loss_headroom_gain *. t.loss_ewma))
-    in
-    if eff <> t.eff_headroom then begin
-      t.eff_headroom <- eff;
-      Congestion.Waterfill.Inc.set_headroom t.alloc (U.fraction eff)
-    end
-  end
+  let before = effective_headroom t in
+  Congestion.Overload.Headroom.note_loss t.loss_headroom ~sent ~lost;
+  let eff = effective_headroom t in
+  if U.compare_q eff before <> 0 then Congestion.Waterfill.Inc.set_headroom t.alloc eff
 
 let handle_failure t =
   let fl = flow_array t in

@@ -37,17 +37,13 @@ let apply_event t (pkt, flow) =
       Hashtbl.replace t.flows flow pkt
 
 let observe_incarnation t ~inc =
-  match Rbcast.observe_incarnation t.windows (win t 0) ~inc with
+  match Rbcast.observe_origin_incarnation t.windows (win t 0) ~inc with
   | Rbcast.Stale -> `Stale
   | Rbcast.Current -> `Current
   | Rbcast.Rekeyed ->
       (* The source restarted: everything learned from its old life —
          window positions, advertised highs, the believed flow set — is
-         void. The windows re-key in lockstep, so window 0 speaks for all
-         of them above. *)
-      for tree = 1 to t.trees - 1 do
-        ignore (Rbcast.observe_incarnation t.windows (win t tree) ~inc)
-      done;
+         void. Every window re-keyed above. *)
       Hashtbl.reset t.flows;
       `Reset
 

@@ -8,48 +8,23 @@ type config = {
   headroom : U.fraction;
   recompute_interval_ns : int;
   mtu : int;
-  trees_per_source : int;
   real_broadcast : bool;
   queue_capacity : int;
   control : control;
   reselect_interval_ns : int option;
       (** §3.4: when set, long flows are periodically re-assigned a routing
           protocol (RPS vs VLB) by the GA selector *)
-  detection_delay_ns : int option;
-      (** failure -> topology-discovery latency; [None] = twice the
-          broadcast depth of the rack (2 * diameter hops of a 16-byte
-          packet) *)
   rtx_timeout_ns : int;  (** initial per-packet retransmission timeout *)
   rtx_backoff : float;  (** timeout multiplier per unacknowledged attempt *)
   rtx_cap_ns : int;  (** backed-off timeout ceiling *)
-  rtx_max_retries : int;  (** per packet; exceeding it aborts the flow *)
   reliable_bcast : bool;
       (** sequence every flow-event broadcast, run receive windows with
           NACK repair and periodic anti-entropy digests *)
   digest_interval_ns : int;  (** anti-entropy beacon period per source *)
-  nack_delay_ns : int;  (** gap detection -> NACK send delay (and retry) *)
   bcast_log_cap : int;  (** origin replay-log depth per tree *)
   control_loss : U.fraction;  (** per-hop control-packet loss probability *)
   control_reorder : U.fraction;  (** per-hop extra-delay (reorder) probability *)
   control_dup : U.fraction;  (** per-hop duplication probability *)
-  loss_headroom_gain : float;
-      (** graceful degradation: effective headroom =
-          min max_headroom (headroom + gain * loss EWMA); a dimensionless
-          gain multiplying a fraction, so it stays a raw float *)
-  max_headroom : U.fraction;
-  flaky_spike_ns : int;
-      (** extra latency a spiked hop on a flaky link suffers, unless the
-          injection call overrides it *)
-  health_interval_ns : int;  (** per-link loss-EWMA estimator period *)
-  health_alpha : float;  (** EWMA weight of the newest interval, (0, 1] *)
-  quarantine_loss_threshold : float;
-      (** per-link loss EWMA above this quarantines the cable *)
-  probation_ns : int;
-      (** quarantine dwell before probation, and probation dwell before the
-          recover/re-quarantine verdict *)
-  rejoin_retry_ns : int;
-      (** a restarted node re-announces its JOIN at this period until it has
-          caught up — a lost JOIN or snapshot must not strand the rejoin *)
   (* -- SLO-guarded overload control; every default leaves it off -- *)
   queue_high_watermark : int;
       (** link-queue bytes above which the link counts as overloaded;
@@ -57,16 +32,6 @@ type config = {
   queue_low_watermark : int;  (** hysteresis: overload clears only below this *)
   overload_control : bool;
       (** master switch for admission shedding and PAUSE backpressure *)
-  pause_interval_ns : int;
-      (** a congested receiver sends at most one PAUSE per this period *)
-  pause_class : int;
-      (** only flows of this class or below (numerically >=) are paced and
-          trigger pauses; higher classes are never slowed by backpressure *)
-  pause_backoff : float;  (** multiplicative decrease per PAUSE level *)
-  pause_recovery : float;  (** additive scale recovery per clean epoch *)
-  pause_min_scale : float;  (** floor of the pacing scale *)
-  shed_recover_epochs : int;
-      (** consecutive clean epochs before the shed floor relaxes one class *)
   slos : (int * int) list;
       (** (priority class, FCT bound ns) promises fed to {!Metrics.set_slo} *)
   reserve_priority : int;
@@ -86,40 +51,22 @@ let default_config =
     headroom = U.fraction 0.05;
     recompute_interval_ns = 500_000;
     mtu = 1500;
-    trees_per_source = 4;
     real_broadcast = true;
     queue_capacity = max_int;
     control = Global_epoch;
     reselect_interval_ns = None;
-    detection_delay_ns = None;
     rtx_timeout_ns = 50_000;
     rtx_backoff = 2.0;
     rtx_cap_ns = 1_000_000;
-    rtx_max_retries = 30;
     reliable_bcast = false;
     digest_interval_ns = 100_000;
-    nack_delay_ns = 20_000;
     bcast_log_cap = 65536;
     control_loss = U.fraction 0.0;
     control_reorder = U.fraction 0.0;
     control_dup = U.fraction 0.0;
-    loss_headroom_gain = 2.0;
-    max_headroom = U.fraction 0.30;
-    flaky_spike_ns = 2_000;
-    health_interval_ns = 50_000;
-    health_alpha = 0.3;
-    quarantine_loss_threshold = 0.02;
-    probation_ns = 500_000;
-    rejoin_retry_ns = 500_000;
     queue_high_watermark = max_int;
     queue_low_watermark = 0;
     overload_control = false;
-    pause_interval_ns = 50_000;
-    pause_class = 1;
-    pause_backoff = 0.5;
-    pause_recovery = 0.1;
-    pause_min_scale = 0.05;
-    shed_recover_epochs = 3;
     slos = [];
     reserve_priority = 1;
     class_reserve = U.fraction 0.0;
@@ -291,8 +238,7 @@ type t = {
   mutable diverged_since : int;  (** ns of first divergent epoch; -1 clean *)
   mutable reconverge_samples : int list;  (** newest first *)
   (* -- graceful degradation -- *)
-  mutable loss_ewma : float;
-  mutable eff_headroom : float;
+  loss_headroom : Congestion.Overload.Headroom.t;
   mutable prev_ctrl_hops : int;
   mutable prev_ctrl_lost : int;
   (* -- crash-restart rejoin -- *)
@@ -319,6 +265,9 @@ type t = {
 }
 
 let header = Wire.data_header_size
+
+(* Spanning trees per broadcast source (§3.2). *)
+let trees_per_source = 4
 
 let engine t = t.eng
 let metrics t = t.mtrcs
@@ -363,27 +312,14 @@ let win t ~node ~root ~tree = Rbcast.win t.rx ~origin:root ~tree ~receiver:node
    (small negatives). *)
 let bcast_id_join = min_int
 
-(* Re-key every window of [root] at [node] to incarnation [inc]; windows
-   already on it are untouched. *)
-let rekey_root t ~node ~root ~inc =
-  for tree = 0 to t.cfg.trees_per_source - 1 do
-    ignore (Rbcast.observe_incarnation t.rx (win t ~node ~root ~tree) ~inc)
-  done
-
-(* Key window [w] of [root] at [node] to the incarnation stamped on an
-   incoming packet or digest. A newer one means the root restarted, so
-   every tree of it re-keys, as a JOIN makes them: a tree left on the old
-   incarnation keeps its pre-crash [hi] and holds the node
-   sequence-behind, which blocks the hash check that repairs a restarted
-   origin whose JOIN was lost. Returns false for stale packets. On clean
-   runs every incarnation is 0, so this never changes state. *)
-let accept_inc t ~node ~root w ~inc =
-  match Rbcast.observe_incarnation t.rx w ~inc with
-  | Rbcast.Current -> true
+(* Key window [w] to the incarnation stamped on an incoming packet or
+   digest; a newer one re-keys every tree of the root, as a JOIN does.
+   Returns false for stale packets. On clean runs every incarnation is 0,
+   so this never changes state. *)
+let accept_inc t w ~inc =
+  match Rbcast.observe_origin_incarnation t.rx w ~inc with
+  | Rbcast.Current | Rbcast.Rekeyed -> true
   | Rbcast.Stale -> false
-  | Rbcast.Rekeyed ->
-      rekey_root t ~node ~root ~inc;
-      true
 
 (* Apply one flow-event broadcast at a node: update the node's view of the
    traffic matrix (Per_node) and the global visibility counter. In reliable
@@ -432,7 +368,7 @@ let send_nack t ~node ~root ~tree ~from_seq ~to_seq =
     let route =
       Net.intern_route t.net
         (Routing.ecmp_path t.rctx
-           ~flow_id:((root * t.cfg.trees_per_source) + tree)
+           ~flow_id:((root * trees_per_source) + tree)
            ~src:node ~dst:root)
     in
     Net.send_nack t.net ~root ~tree ~from_seq ~to_seq ~requester:node
@@ -447,10 +383,12 @@ let send_nack t ~node ~root ~tree ~from_seq ~to_seq =
    outlives its window's generation (a crash or restart wiped it, or a
    newer incarnation re-keyed it) does nothing: the wipe or re-key also
    dropped the latch, so the window arms a timer of its own when needed. *)
+let nack_delay_ns = 20_000
+
 let rec schedule_nack t ~node ~root ~tree w =
   if Rbcast.arm t.rx w then begin
     let gen = Rbcast.generation t.rx w in
-    Engine.after t.eng t.cfg.nack_delay_ns (fun () -> fire_nack t ~node ~root ~tree w gen)
+    Engine.after t.eng nack_delay_ns (fun () -> fire_nack t ~node ~root ~tree w gen)
   end
 
 and fire_nack t ~node ~root ~tree w gen =
@@ -485,11 +423,11 @@ let send_sync t ~root ~requester =
     let o = t.origins.(root) in
     let entries = Rbcast.live_ids o in
     let last_seqs =
-      Array.init t.cfg.trees_per_source (fun tr -> Rbcast.last_seq o ~tree:tr)
+      Array.init trees_per_source (fun tr -> Rbcast.last_seq o ~tree:tr)
     in
     let bytes =
       min t.cfg.mtu
-        (sync_header_bytes + (4 * List.length entries) + (4 * t.cfg.trees_per_source))
+        (sync_header_bytes + (4 * List.length entries) + (4 * trees_per_source))
     in
     t.syncs_sent <- t.syncs_sent + 1;
     t.sync_bytes <- t.sync_bytes + bytes;
@@ -551,12 +489,14 @@ let purge_view_of t ~node ~src =
     (Util.Tbl.sorted_keys ~cmp:Int.compare view)
 
 (* A JOIN announcement from a restarted node: re-key every window for that
-   root to the new incarnation — wiping the pre-crash window state, which
+   root to the new incarnation (tree 0 speaks for all: the trees of one
+   origin at one receiver are always keyed alike) — wiping the pre-crash window state, which
    would otherwise absorb the fresh sequence space as duplicates — and
    forget the joiner's pre-crash flows. The joiner pulls full state itself
    with snapshot requests, so receivers only reset here. *)
 let handle_join t ~node ~joiner ~inc =
-  if reliable t then rekey_root t ~node ~root:joiner ~inc;
+  if reliable t then
+    ignore (Rbcast.observe_origin_incarnation t.rx (win t ~node ~root:joiner ~tree:0) ~inc);
   if t.cfg.control = Per_node then purge_view_of t ~node ~src:joiner
 
 (* -- data plane: token-bucket pacing and source routing ------------------- *)
@@ -699,7 +639,8 @@ let believed_ids t ~node ~own =
 let allocate_ids t ids =
   let flows = Array.map (Hashtbl.find t.all_states) ids in
   let rates =
-    Congestion.Waterfill.allocate ~headroom:(U.fraction t.eff_headroom)
+    Congestion.Waterfill.allocate
+      ~headroom:(Congestion.Overload.Headroom.effective t.loss_headroom)
       ~capacities:t.capacities (Array.map wf_of flows)
   in
   (flows, rates)
@@ -752,26 +693,20 @@ let recompute_global t inc =
         | None -> ())
   end
 
-(* Graceful degradation (§3.3): the headroom the waterfill reserves grows
-   with the observed control-loss rate, so transiently stale views overbook
-   less when the control plane is struggling. The estimate is an EWMA of
-   the per-hop loss fraction over each rate epoch. *)
+(* Graceful degradation (§3.3, {!Congestion.Overload.Headroom}): the
+   headroom the waterfill reserves grows with the per-hop control-loss
+   fraction seen over each rate epoch. *)
 let update_loss_ewma t =
   if t.cfg.reliable_bcast then begin
     let hops = Net.ctrl_hops t.net and lost = Net.ctrl_lost t.net in
-    let dh = hops - t.prev_ctrl_hops and dl = lost - t.prev_ctrl_lost in
+    Congestion.Overload.Headroom.note_loss t.loss_headroom ~sent:(hops - t.prev_ctrl_hops)
+      ~lost:(lost - t.prev_ctrl_lost);
     t.prev_ctrl_hops <- hops;
     t.prev_ctrl_lost <- lost;
-    if dh > 0 then
-      t.loss_ewma <-
-        (0.8 *. t.loss_ewma) +. (0.2 *. (float_of_int dl /. float_of_int dh));
-    t.eff_headroom <-
-      Float.min
-        (t.cfg.max_headroom : U.fraction :> float)
-        ((t.cfg.headroom : U.fraction :> float)
-        +. (t.cfg.loss_headroom_gain *. t.loss_ewma));
     match t.galloc with
-    | Some inc -> Congestion.Waterfill.Inc.set_headroom inc (U.fraction t.eff_headroom)
+    | Some inc ->
+        Congestion.Waterfill.Inc.set_headroom inc
+          (Congestion.Overload.Headroom.effective t.loss_headroom)
     | None -> ()
   end
 
@@ -946,7 +881,7 @@ let digest_round t =
           (Rbcast.incarnation o lsl 32) lor (Rbcast.bump_epoch o land 0xFFFFFFFF)
         in
         let hash = Rbcast.state_hash o in
-        for tree = 0 to t.cfg.trees_per_source - 1 do
+        for tree = 0 to trees_per_source - 1 do
           let last = Rbcast.last_seq o ~tree in
           if last >= 0 || (tree = 0 && Rbcast.incarnation o > 0) then
             Net.send_digest_tree t.net ~root:src ~tree ~epoch ~last_seq:last ~hash
@@ -969,7 +904,7 @@ let node_caught_up t ~node =
         root <> node && Net.node_up t.net root
         && Topology.reachable t.topo root node
       then begin
-        for tree = 0 to t.cfg.trees_per_source - 1 do
+        for tree = 0 to trees_per_source - 1 do
           let w = win t ~node ~root ~tree in
           if
             Rbcast.next_expected t.rx w <= Rbcast.last_seq o ~tree
@@ -995,12 +930,14 @@ let control_converged t =
     t.origins;
   !ok
 
-let detection_delay t =
-  match t.cfg.detection_delay_ns with
-  | Some d -> d
-  | None ->
-      let tx = Net.tx_time_ns t.net Wire.broadcast_size in
-      2 * Topology.diameter t.topo * (t.cfg.hop_latency_ns + tx)
+(* §3.2 topology discovery: twice the time a broadcast packet needs to
+   cross the rack diameter. *)
+let detection_delay cfg topo =
+  let tx =
+    U.fill_time ~amount:(U.bits_of_bytes (U.bytes_of_int Wire.broadcast_size))
+      ~rate:cfg.link_gbps
+  in
+  2 * Topology.diameter topo * (cfg.hop_latency_ns + int_of_float (ceil (U.to_float tx)))
 
 (* Evaluated once per digest round: a pending rejoiner that has caught up
    gets its rejoin time stamped and leaves the pending set. *)
@@ -1014,7 +951,7 @@ let check_rejoins t =
            unreachable and the catch-up check would pass vacuously —
            stamping a zero-length rejoin before the JOIN even went out. *)
         if
-          now >= Hashtbl.find t.pending_rejoins node + detection_delay t
+          now >= Hashtbl.find t.pending_rejoins node + detection_delay t.cfg t.topo
           && Net.node_up t.net node && node_caught_up t ~node
         then begin
           let start = Hashtbl.find t.pending_rejoins node in
@@ -1062,11 +999,14 @@ let ensure_loop t =
 
 (* -- fault injection and recovery (§3.2) ----------------------------------- *)
 
+(* Retransmissions of one packet before its flow is aborted. *)
+let rtx_max_retries = 30
+
 let rcfg cfg =
   {
     Reliability.packets = 1;
     rtx_timeout_ns = cfg.rtx_timeout_ns;
-    max_retries = cfg.rtx_max_retries;
+    max_retries = rtx_max_retries;
     rtx_backoff = cfg.rtx_backoff;
     rtx_cap_ns = cfg.rtx_cap_ns;
   }
@@ -1099,7 +1039,7 @@ let abort_flow t st =
    that window. *)
 let rec arm_retransmit t st ~seq ~bytes ~last =
   let n = Option.value ~default:0 (Hashtbl.find_opt st.rtx seq) in
-  if n >= t.cfg.rtx_max_retries then abort_flow t st
+  if n >= rtx_max_retries then abort_flow t st
   else begin
     Hashtbl.replace st.rtx seq (n + 1);
     Engine.after t.eng
@@ -1135,20 +1075,24 @@ let handle_loss t pkt =
 
 (* A congested receiver paces senders down: when a delivered data packet's
    final-hop link is above the high watermark, the receiver returns one
-   PAUSE (rate-limited per receiver) to the packet's source, covering
-   [pause_class] and every class below it. Higher classes are never
-   paused — their latency is what the backpressure is protecting. *)
+   PAUSE (at most one per [pause_interval_ns] per receiver) to the
+   packet's source, covering [pause_class] and every class below it.
+   Higher classes are never paused — their latency is what the
+   backpressure is protecting. *)
+let pause_interval_ns = 50_000
+let pause_class = 1
+
 let maybe_send_pause t pkt ~flow =
   if t.overload_on && Net.overloaded_links t.net > 0 then begin
     let dst = Net.route_last t.net pkt in
     let now = Engine.now t.eng in
-    if now - t.last_pause.(dst) >= t.cfg.pause_interval_ns then begin
+    if now - t.last_pause.(dst) >= pause_interval_ns then begin
       let len = Net.route_length t.net pkt in
       let l = Topology.find_link_id t.topo (Net.route_at t.net pkt (len - 2)) dst in
       if l >= 0 && Net.link_overloaded t.net ~link_id:l then
         match Hashtbl.find_opt t.all_states flow with
         | Some st
-          when st.priority >= t.cfg.pause_class
+          when st.priority >= pause_class
                && st.src <> dst && Net.node_up t.net st.src
                && Topology.reachable t.topo dst st.src ->
             t.last_pause.(dst) <- now;
@@ -1158,7 +1102,7 @@ let maybe_send_pause t pkt ~flow =
                 (Routing.ecmp_path t.rctx ~flow_id:(dst + (131 * st.src))
                    ~src:dst ~dst:st.src)
             in
-            Net.send_pause t.net ~node:st.src ~cls:t.cfg.pause_class ~level:1
+            Net.send_pause t.net ~node:st.src ~cls:pause_class ~level:1
               ~window_kbps:0 ~bytes:Wire.pause_size ~route;
             Net.release_route t.net route
         | _ -> ()
@@ -1202,14 +1146,14 @@ let schedule_event t ~ns kind phys overlay =
         {
           kind;
           fail_ns = ns;
-          detect_ns = ns + detection_delay t;
+          detect_ns = ns + detection_delay t.cfg t.topo;
           reconverge_ns = -1;
           aborted = 0;
           repaired = 0;
         }
       in
       t.failures <- fr :: t.failures;
-      Engine.after t.eng (detection_delay t) (fun () ->
+      Engine.after t.eng (detection_delay t.cfg t.topo) (fun () ->
           detect t fr overlay;
           (* The rack may have gone quiet before this event was detected
              (e.g. a partition healing after every flow completed); the
@@ -1289,6 +1233,8 @@ let send_snapshot_reqs t u =
    flows), plus one snapshot request per alive origin. Re-announced every
    [rejoin_retry_ns] until the node has caught up, so a lost JOIN or
    snapshot cannot strand the rejoin. *)
+let rejoin_retry_ns = 500_000
+
 let rec announce_join t u =
   if Net.node_up t.net u && Hashtbl.mem t.pending_rejoins u then begin
     t.joins_sent <- t.joins_sent + 1;
@@ -1299,7 +1245,7 @@ let rec announce_join t u =
     end;
     send_snapshot_reqs t u;
     if reliable t then
-      Engine.after t.eng t.cfg.rejoin_retry_ns (fun () -> announce_join t u)
+      Engine.after t.eng rejoin_retry_ns (fun () -> announce_join t u)
     else begin
       (* Without the reliable machinery there is no catch-up to await: the
          rejoin completes at the announcement. *)
@@ -1326,14 +1272,14 @@ let restart_node_at t ~ns u =
         {
           kind = "restart";
           fail_ns = ns;
-          detect_ns = ns + detection_delay t;
+          detect_ns = ns + detection_delay t.cfg t.topo;
           reconverge_ns = -1;
           aborted = 0;
           repaired = 0;
         }
       in
       t.failures <- fr :: t.failures;
-      Engine.after t.eng (detection_delay t) (fun () ->
+      Engine.after t.eng (detection_delay t.cfg t.topo) (fun () ->
           detect t fr (fun () -> Topology.restore_node t.topo u);
           announce_join t u;
           ensure_loop t))
@@ -1341,6 +1287,19 @@ let restart_node_at t ~ns u =
 (* -- gray failures: flaky links and the health estimator ------------------- *)
 
 let flaky_seed seed = seed + 211
+
+(* Extra latency of a spiked hop on a flaky link. *)
+let flaky_spike_ns = 2_000
+
+(* The health estimator ticks every [health_interval_ns], folding each
+   interval's loss rate into a per-cable EWMA with weight [health_alpha].
+   An estimate above [quarantine_loss_threshold] quarantines the cable;
+   [probation_ns] is the dwell in quarantine before probation, and in
+   probation before the recover/re-quarantine verdict. *)
+let health_interval_ns = 50_000
+let health_alpha = 0.3
+let quarantine_loss_threshold = 0.02
+let probation_ns = 500_000
 
 let get_health t =
   match t.health with
@@ -1376,27 +1335,27 @@ let health_tick t h =
       h.prev_lost.(l) <- lost;
       if dtx > 0 then
         h.ewma.(l) <-
-          (t.cfg.health_alpha *. (float_of_int dlost /. float_of_int dtx))
-          +. ((1.0 -. t.cfg.health_alpha) *. h.ewma.(l))
-      else h.ewma.(l) <- (1.0 -. t.cfg.health_alpha) *. h.ewma.(l);
+          (health_alpha *. (float_of_int dlost /. float_of_int dtx))
+          +. ((1.0 -. health_alpha) *. h.ewma.(l))
+      else h.ewma.(l) <- (1.0 -. health_alpha) *. h.ewma.(l);
       (match Routing.link_health t.rctx u v with
       | Routing.Healthy ->
-          if h.ewma.(l) > t.cfg.quarantine_loss_threshold then begin
+          if h.ewma.(l) > quarantine_loss_threshold then begin
             Routing.note_suspect t.rctx u v;
             t.quarantines <- t.quarantines + 1;
             h.since.(l) <- now
           end
       | Routing.Quarantined ->
-          if now - h.since.(l) >= t.cfg.probation_ns then begin
+          if now - h.since.(l) >= probation_ns then begin
             Routing.note_probation t.rctx u v;
             t.probations <- t.probations + 1;
             h.since.(l) <- now
           end
       | Routing.Probation ->
-          if now - h.since.(l) >= t.cfg.probation_ns then begin
+          if now - h.since.(l) >= probation_ns then begin
             (* The probation trickle kept sampling the cable; the verdict
                is whatever the estimator saw of it. *)
-            if h.ewma.(l) > t.cfg.quarantine_loss_threshold then begin
+            if h.ewma.(l) > quarantine_loss_threshold then begin
               Routing.note_suspect t.rctx u v;
               t.quarantines <- t.quarantines + 1
             end
@@ -1419,7 +1378,7 @@ let rec health_loop t () =
   | Some h ->
       let demoted = health_tick t h in
       if demoted || Hashtbl.length t.active > 0 then
-        Engine.after t.eng t.cfg.health_interval_ns (health_loop t)
+        Engine.after t.eng health_interval_ns (health_loop t)
       else t.health_running <- false
 
 (* Started when the first flaky link is flagged — a clean run never runs a
@@ -1428,14 +1387,13 @@ let ensure_health_loop t =
   ignore (get_health t);
   if not t.health_running then begin
     t.health_running <- true;
-    Engine.after t.eng t.cfg.health_interval_ns (health_loop t)
+    Engine.after t.eng health_interval_ns (health_loop t)
   end
 
-let flaky_link_at t ~ns ?spike_ns u v ~loss ~spike =
+let flaky_link_at t ~ns u v ~loss ~spike =
   Engine.at t.eng ns (fun () ->
-      Net.set_flaky_link t.net ~seed:(flaky_seed t.cfg.seed)
-        ~spike_ns:(Option.value ~default:t.cfg.flaky_spike_ns spike_ns)
-        u v ~loss ~spike;
+      Net.set_flaky_link t.net ~seed:(flaky_seed t.cfg.seed) ~spike_ns:flaky_spike_ns u v
+        ~loss ~spike;
       ensure_health_loop t)
 
 let unflaky_link_at t ~ns u v =
@@ -1451,10 +1409,13 @@ let create cfg topo =
     invalid_arg "R2c2_sim: Per_node control builds its views from real broadcasts";
   if cfg.reliable_bcast && not cfg.real_broadcast then
     invalid_arg "R2c2_sim: reliable_bcast needs real broadcasts to protect";
-  if cfg.overload_control && cfg.pause_interval_ns <= 0 then
-    invalid_arg "R2c2_sim: pause_interval_ns must be positive";
-  if cfg.overload_control && cfg.pause_class < 0 then
-    invalid_arg "R2c2_sim: negative pause_class";
+  if cfg.recompute_interval_ns <= 0 then
+    invalid_arg "R2c2_sim: recompute_interval_ns must be positive";
+  (match cfg.reselect_interval_ns with
+  | Some n when n <= 0 -> invalid_arg "R2c2_sim: reselect_interval_ns must be positive"
+  | _ -> ());
+  if cfg.reliable_bcast && cfg.digest_interval_ns <= 0 then
+    invalid_arg "R2c2_sim: digest_interval_ns must be positive";
   let eng = Engine.create ~backend:cfg.engine_backend () in
   let net =
     Net.create eng topo ~queue_capacity:cfg.queue_capacity ~link_gbps:cfg.link_gbps
@@ -1468,7 +1429,7 @@ let create cfg topo =
   if chaos_on then
     Net.set_control_chaos net ~seed:(chaos_seed cfg.seed) ~loss:cfg.control_loss
       ~reorder:cfg.control_reorder ~dup:cfg.control_dup;
-  let bcast = Broadcast.make ~trees_per_source:cfg.trees_per_source topo in
+  let bcast = Broadcast.make ~trees_per_source topo in
   Net.set_broadcast net bcast;
   let nverts = Topology.vertex_count topo in
   let cap = U.byte_rate_of_gbps cfg.link_gbps in
@@ -1525,12 +1486,12 @@ let create cfg topo =
       origins =
         (if cfg.reliable_bcast && cfg.real_broadcast then
            Array.init nverts (fun _ ->
-               Rbcast.origin ~log_cap:cfg.bcast_log_cap ~trees:cfg.trees_per_source ())
+               Rbcast.origin ~log_cap:cfg.bcast_log_cap ~trees:trees_per_source ())
          else [||]);
       rx =
         Rbcast.table
           ~origins:(if cfg.reliable_bcast && cfg.real_broadcast then nverts else 0)
-          ~trees:cfg.trees_per_source ~receivers:nverts;
+          ~trees:trees_per_source ~receivers:nverts;
       chaos_on;
       digest_running = false;
       nacks_sent = 0;
@@ -1541,8 +1502,7 @@ let create cfg topo =
       divergence_epochs = 0;
       diverged_since = -1;
       reconverge_samples = [];
-      loss_ewma = 0.0;
-      eff_headroom = (cfg.headroom : U.fraction :> float);
+      loss_headroom = Congestion.Overload.Headroom.create ~base:cfg.headroom;
       prev_ctrl_hops = 0;
       prev_ctrl_lost = 0;
       pending_rejoins = Hashtbl.create 4;
@@ -1556,19 +1516,15 @@ let create cfg topo =
       admission =
         (if cfg.overload_control then
            Some
-             (Congestion.Overload.Admission.create
-                ~clean_epochs_to_recover:cfg.shed_recover_epochs
-                ~max_priority:(Metrics.max_class - 1) ())
+             (Congestion.Overload.Admission.create ~max_priority:(Metrics.max_class - 1) ())
          else None);
       pacers =
         (if cfg.overload_control then
-           Array.init nverts (fun _ ->
-               Congestion.Overload.Pacer.create ~backoff:cfg.pause_backoff
-                 ~recovery:cfg.pause_recovery ~min_scale:cfg.pause_min_scale ())
+           Array.init nverts (fun _ -> Congestion.Overload.Pacer.create ())
          else [||]);
       pause_cls = (if cfg.overload_control then Array.make nverts max_int else [||]);
       last_pause =
-        (if cfg.overload_control then Array.make nverts (-cfg.pause_interval_ns)
+        (if cfg.overload_control then Array.make nverts (-pause_interval_ns)
          else [||]);
       shed_flows = 0;
       shed_payload = 0;
@@ -1603,7 +1559,7 @@ let create cfg topo =
         else if reliable t then begin
           let root = Net.bcast_root net pkt and tree = Net.bcast_tree net pkt in
           let w = win t ~node ~root ~tree in
-          if accept_inc t ~node ~root w ~inc:(Net.bcast_inc net pkt) then begin
+          if accept_inc t w ~inc:(Net.bcast_inc net pkt) then begin
             match Rbcast.receive t.rx w ~seq:(Net.bcast_seq net pkt) bcast_id with
             | Rbcast.Deliver ->
                 apply_bcast_event t ~node bcast_id;
@@ -1619,7 +1575,7 @@ let create cfg topo =
         let last_seq = Net.digest_last_seq net pkt in
         if reliable t then begin
             let w = win t ~node ~root ~tree in
-            if accept_inc t ~node ~root w ~inc:(Net.digest_epoch net pkt lsr 32) then begin
+            if accept_inc t w ~inc:(Net.digest_epoch net pkt lsr 32) then begin
             Rbcast.advertise t.rx w ~last:last_seq;
             let next = Rbcast.next_expected t.rx w in
             if next <= last_seq then schedule_nack t ~node ~root ~tree w
@@ -1631,7 +1587,7 @@ let create cfg topo =
                  gap, its own digest will trigger the cheaper NACK path
                  first. *)
               let all_caught_up = ref true in
-              for tr = 0 to cfg.trees_per_source - 1 do
+              for tr = 0 to trees_per_source - 1 do
                 if not (Rbcast.caught_up t.rx (win t ~node ~root ~tree:tr)) then
                   all_caught_up := false
               done;
@@ -1804,8 +1760,8 @@ let set_control_chaos_at t ~ns ~loss ~reorder ~dup =
   Engine.at t.eng ns (fun () ->
       Net.set_control_chaos t.net ~seed:(chaos_seed t.cfg.seed) ~loss ~reorder ~dup)
 
-let loss_ewma t = U.fraction t.loss_ewma
-let effective_headroom t = U.fraction t.eff_headroom
+let loss_ewma t = Congestion.Overload.Headroom.loss_ewma t.loss_headroom
+let effective_headroom t = Congestion.Overload.Headroom.effective t.loss_headroom
 
 let shed_floor t =
   match t.admission with
@@ -1892,8 +1848,8 @@ let results t =
     divergence_epochs = t.divergence_epochs;
     reconverge_samples = List.rev t.reconverge_samples;
     terminal_diverged = diverged_nodes t;
-    loss_ewma = U.fraction t.loss_ewma;
-    effective_headroom = U.fraction t.eff_headroom;
+    loss_ewma = loss_ewma t;
+    effective_headroom = effective_headroom t;
     flaky_lost = Net.flaky_lost t.net;
     flaky_lost_bytes = Net.flaky_lost_bytes t.net;
     quarantines = t.quarantines;

@@ -26,9 +26,8 @@ type config = {
   link_gbps : Util.Units.gbps;
   hop_latency_ns : int;
   headroom : Util.Units.fraction;
-  recompute_interval_ns : int;
+  recompute_interval_ns : int;  (** rho, the rate-epoch period; positive *)
   mtu : int;  (** wire bytes per data packet, header included *)
-  trees_per_source : int;
   real_broadcast : bool;
       (** if false, visibility is modeled as tree-depth latency and no
           broadcast packets enter the fabric *)
@@ -37,18 +36,13 @@ type config = {
   reselect_interval_ns : int option;
       (** §3.4: when set, flows alive for at least one interval are
           periodically re-assigned RPS or VLB by the GA routing selector,
-          and the new assignment is advertised in one batched broadcast *)
-  detection_delay_ns : int option;
-      (** latency from a physical failure to every node's topology map
-          reflecting it (§3.2 topology discovery); [None] = twice the time
-          a broadcast packet needs to cross the rack diameter *)
+          and the new assignment is advertised in one batched broadcast;
+          must be positive *)
   rtx_timeout_ns : int;  (** initial per-packet retransmission timeout *)
   rtx_backoff : float;
       (** timeout multiplier per retransmission of the same packet;
           [<= 1.0] keeps a fixed period *)
   rtx_cap_ns : int;  (** ceiling on the backed-off timeout *)
-  rtx_max_retries : int;
-      (** retransmissions per packet before the flow is aborted *)
   reliable_bcast : bool;
       (** loss-tolerant control plane: every flow-event broadcast carries a
           per-(source, tree) sequence number, receivers run windows with
@@ -56,34 +50,15 @@ type config = {
           beacon periodic anti-entropy digests whose state hash triggers a
           full-state sync on genuine divergence. Requires
           [real_broadcast] *)
-  digest_interval_ns : int;  (** anti-entropy beacon period per source *)
-  nack_delay_ns : int;
-      (** delay from gap detection to the NACK (and between retries) *)
+  digest_interval_ns : int;
+      (** anti-entropy beacon period per source; positive when
+          [reliable_bcast] *)
   bcast_log_cap : int;  (** origin replay-log depth per tree *)
   control_loss : Util.Units.fraction;
       (** chaos: per-hop control-packet loss probability, [0, 1) *)
   control_reorder : Util.Units.fraction;
       (** per-hop extra-delay (reorder) probability *)
   control_dup : Util.Units.fraction;  (** per-hop duplication probability *)
-  loss_headroom_gain : float;
-      (** graceful degradation: the waterfill reserves
-          [min max_headroom (headroom + gain * loss EWMA)] instead of the
-          static [headroom], so stale views overbook less under loss; a
-          dimensionless gain, so a raw float *)
-  max_headroom : Util.Units.fraction;
-  flaky_spike_ns : int;
-      (** default extra latency of a gray-failure spike ({!flaky_link_at}) *)
-  health_interval_ns : int;  (** per-neighbor health estimator tick period *)
-  health_alpha : float;
-      (** EWMA gain of the per-cable loss estimate; higher reacts faster *)
-  quarantine_loss_threshold : float;
-      (** estimated loss rate above which a cable is quarantined *)
-  probation_ns : int;
-      (** dwell time in quarantine before probation, and in probation
-          before the recovery verdict *)
-  rejoin_retry_ns : int;
-      (** period between JOIN re-announcements while a restarted node is
-          still catching up *)
   queue_high_watermark : int;
       (** overload detection: a link whose queue exceeds this many bytes is
           flagged overloaded; [max_int] (the default) disables detection and
@@ -93,20 +68,10 @@ type config = {
   overload_control : bool;
       (** master switch for strict-priority admission shedding and PAUSE
           backpressure; needs [queue_high_watermark] to be armed to ever
-          see an overloaded epoch *)
-  pause_interval_ns : int;
-      (** a congested receiver emits at most one PAUSE per this period *)
-  pause_class : int;
-      (** backpressure covers classes numerically >= this (lower priority);
-          classes above it are never paced — their tail latency is what the
-          mechanism defends *)
-  pause_backoff : float;
-      (** multiplicative pacing decrease per PAUSE level, in (0, 1) *)
-  pause_recovery : float;  (** additive pacing recovery per clean epoch *)
-  pause_min_scale : float;  (** pacing-scale floor, in (0, 1] *)
-  shed_recover_epochs : int;
-      (** consecutive clean epochs before the shed floor re-admits one
-          class — the admission-side hysteresis *)
+          see an overloaded epoch. A congested receiver emits at most one
+          PAUSE per 50 µs, covering class 1 and below; class 0 is never
+          paced. Pacing and shedding use the {!Congestion.Overload}
+          defaults. *)
   slos : (int * int) list;
       (** per-class SLO promises [(priority, fct_bound_ns)], installed into
           {!Metrics.set_slo} at {!create} *)
@@ -126,10 +91,26 @@ type config = {
 
 val default_config : config
 (** 10 Gbps, 100 ns hops, 5% headroom, rho = 500 µs, 1500-byte MTU, real
-    broadcasts, unbounded queues, global-epoch control, auto detection
-    delay, 50 µs retransmission timeout doubling up to 1 ms, 30 retries,
-    seed 1. Reliable broadcast off, digests every 100 µs, 20 µs NACK
-    delay, 64 Ki replay log, no chaos, headroom gain 2 capped at 30%. *)
+    broadcasts, unbounded queues, global-epoch control, no reselection,
+    50 µs retransmission timeout doubling up to 1 ms, seed 1. Reliable
+    broadcast off, digests every 100 µs, 64 Ki replay log, no chaos,
+    overload control off, no SLOs or class reserve, calendar queue.
+
+    Fixed constants, not fields: 4 broadcast trees per source; 30
+    retransmissions per packet before a flow aborts; a 20 µs NACK delay;
+    JOIN re-announced every {!rejoin_retry_ns}; failures detected after
+    {!detection_delay}; the loss-scaled headroom of
+    {!Congestion.Overload.Headroom}; the gray-failure and PAUSE constants
+    documented at {!flaky_link_at} and [overload_control]. *)
+
+val detection_delay : config -> Topology.t -> int
+(** Latency from a physical failure to every node's topology map
+    reflecting it (§3.2 topology discovery): twice the time a 16-byte
+    broadcast packet needs to cross the rack diameter. *)
+
+val rejoin_retry_ns : int
+(** 500 µs: a restarted node re-announces its JOIN at this period until
+    it has caught up. *)
 
 type failure = {
   kind : string;
@@ -226,7 +207,11 @@ type result = {
 type t
 
 val create : config -> Topology.t -> t
-(** A fresh rack simulation at time 0. *)
+(** A fresh rack simulation at time 0. Raises [Invalid_argument] on an
+    inconsistent config, including a non-positive [recompute_interval_ns],
+    [reselect_interval_ns] or (with [reliable_bcast]) [digest_interval_ns]:
+    the periodic loop would reschedule itself at the same instant
+    forever. *)
 
 val engine : t -> Engine.t
 (** The simulation clock; use [Engine.at]/[Engine.after] to script events
@@ -289,7 +274,7 @@ val restore_node_at : t -> ns:int -> int -> unit
     receiver re-keys its windows for that root and drops its pre-crash
     flows), plus per-origin snapshot requests answered over the
     anti-entropy full-state sync path. The rejoin is re-announced every
-    [rejoin_retry_ns] until the node is sequence-caught-up with every
+    {!rejoin_retry_ns} until the node is sequence-caught-up with every
     reachable origin, at which point {!Metrics.note_rejoin} stamps it. *)
 
 val crash_node_at : t -> ns:int -> int -> unit
@@ -298,24 +283,18 @@ val restart_node_at : t -> ns:int -> int -> unit
 (** {2 Gray failures}
 
     A flaky cable stays up but intermittently loses packets and spikes its
-    latency. A per-neighbor EWMA health estimator (ticking every
-    [health_interval_ns] once a flaky link exists) feeds the {!Routing}
-    quarantine state machine, which {e demotes} — rather than deletes —
-    suspect cables from spraying fractions and VLB waypoint choice, with
-    probation-based unquarantine. *)
+    latency by 2 µs. A per-neighbor health estimator, ticking every 50 µs
+    once a flaky link exists, keeps an EWMA (weight 0.3) of each cable's
+    loss rate and feeds the {!Routing} quarantine state machine: above 2%
+    estimated loss a cable is {e demoted} — rather than deleted — from
+    spraying fractions and VLB waypoint choice; 500 µs later it enters
+    probation, and 500 µs after that it recovers or is quarantined
+    again. *)
 
 val flaky_link_at :
-  t ->
-  ns:int ->
-  ?spike_ns:int ->
-  int ->
-  int ->
-  loss:Util.Units.fraction ->
-  spike:Util.Units.fraction ->
-  unit
+  t -> ns:int -> int -> int -> loss:Util.Units.fraction -> spike:Util.Units.fraction -> unit
 (** [flaky_link_at t ~ns u v ~loss ~spike] flags the cable between adjacent
-    [u] and [v] at time [ns]; [spike_ns] defaults to the config's
-    [flaky_spike_ns]. *)
+    [u] and [v] at time [ns]. *)
 
 val unflaky_link_at : t -> ns:int -> int -> int -> unit
 
@@ -383,8 +362,8 @@ val shed_floor : t -> int
     controller is off). *)
 
 val pacer_scale : t -> node:int -> float
-(** The node's current backpressure pacing multiplier in
-    [[pause_min_scale, 1]]; 1 when the controller is off. *)
+(** The node's current backpressure pacing multiplier in [[0.05, 1]]; 1
+    when the controller is off. *)
 
 (** {2 Batch API — pre-generated workloads} *)
 

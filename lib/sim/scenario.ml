@@ -8,7 +8,6 @@ type event =
       v : int;
       loss : Util.Units.fraction;
       spike : Util.Units.fraction;
-      spike_ns : int option;
     }
   | Unflaky of int * int
   | Partition of int list
@@ -22,8 +21,7 @@ let restart ~at u = { at_ns = at; event = Restart u }
 let fail_link ~at u v = { at_ns = at; event = Fail_link (u, v) }
 let restore_link ~at u v = { at_ns = at; event = Restore_link (u, v) }
 
-let flaky ~at ?spike_ns u v ~loss ~spike =
-  { at_ns = at; event = Flaky { u; v; loss; spike; spike_ns } }
+let flaky ~at u v ~loss ~spike = { at_ns = at; event = Flaky { u; v; loss; spike } }
 
 let unflaky ~at u v = { at_ns = at; event = Unflaky (u, v) }
 let partition ~at group = { at_ns = at; event = Partition group }
@@ -89,8 +87,7 @@ let apply st { at_ns = ns; event } =
       R2c2_sim.restart_node_at sim ~ns u
   | Fail_link (u, v) -> R2c2_sim.fail_link_at sim ~ns u v
   | Restore_link (u, v) -> R2c2_sim.restore_link_at sim ~ns u v
-  | Flaky { u; v; loss; spike; spike_ns } ->
-      R2c2_sim.flaky_link_at sim ~ns ?spike_ns u v ~loss ~spike
+  | Flaky { u; v; loss; spike } -> R2c2_sim.flaky_link_at sim ~ns u v ~loss ~spike
   | Unflaky (u, v) -> R2c2_sim.unflaky_link_at sim ~ns u v
   | Partition group ->
       List.iter

@@ -21,7 +21,6 @@ type event =
       v : int;
       loss : Util.Units.fraction;
       spike : Util.Units.fraction;
-      spike_ns : int option;
     }  (** gray failure: flag the cable as intermittently lossy/slow *)
   | Unflaky of int * int
   | Partition of int list
@@ -42,14 +41,7 @@ val restart : at:int -> int -> step
 val fail_link : at:int -> int -> int -> step
 val restore_link : at:int -> int -> int -> step
 
-val flaky :
-  at:int ->
-  ?spike_ns:int ->
-  int ->
-  int ->
-  loss:Util.Units.fraction ->
-  spike:Util.Units.fraction ->
-  step
+val flaky : at:int -> int -> int -> loss:Util.Units.fraction -> spike:Util.Units.fraction -> step
 
 val unflaky : at:int -> int -> int -> step
 val partition : at:int -> int list -> step

@@ -484,7 +484,7 @@ let loss_ewma_scales_headroom () =
     R2c2.Stack.note_control_loss st ~sent:10 ~lost:9
   done;
   Alcotest.(check (float 1e-9)) "capped at max_headroom"
-    (Util.Units.to_float (R2c2.Stack.config st).R2c2.Stack.max_headroom)
+    (Util.Units.to_float Congestion.Overload.Headroom.cap)
     (Util.Units.to_float (R2c2.Stack.effective_headroom st));
   (* A clean interval decays the estimate and the reserve follows. *)
   for _ = 1 to 50 do

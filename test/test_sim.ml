@@ -542,6 +542,26 @@ let r2c2_per_node_needs_real_broadcast () =
     (Invalid_argument "R2c2_sim: Per_node control builds its views from real broadcasts")
     (fun () -> ignore (Sim.R2c2_sim.run cfg topo []))
 
+(* A non-positive period would reschedule its loop at the same instant
+   forever, so simulated time never advances; [create] refuses it. *)
+let rejects_period name cfg =
+  Alcotest.check_raises name (Invalid_argument ("R2c2_sim: " ^ name ^ " must be positive"))
+    (fun () -> ignore (Sim.R2c2_sim.create cfg (Topology.torus [| 3; 3; 3 |])))
+
+let r2c2_rejects_zero_recompute_interval () =
+  rejects_period "recompute_interval_ns"
+    { Sim.R2c2_sim.default_config with recompute_interval_ns = 0 }
+
+let r2c2_rejects_zero_reselect_interval () =
+  rejects_period "reselect_interval_ns"
+    { Sim.R2c2_sim.default_config with reselect_interval_ns = Some 0 }
+
+let r2c2_rejects_zero_digest_interval () =
+  let cfg = { Sim.R2c2_sim.default_config with digest_interval_ns = 0 } in
+  rejects_period "digest_interval_ns" { cfg with reliable_bcast = true };
+  (* Without reliable broadcast no digest loop runs, so the value is inert. *)
+  ignore (Sim.R2c2_sim.create cfg (Topology.torus [| 3; 3; 3 |]))
+
 let r2c2_per_node_long_flows_fair () =
   (* Two long flows from different senders: each sender computes its own
      rate from broadcasts and they still converge to a fair split. *)
@@ -897,6 +917,9 @@ let suites =
         tc "weights respected end-to-end" r2c2_respects_weights;
         tc "per-node control completes and matches" r2c2_per_node_control;
         tc "per-node requires real broadcasts" r2c2_per_node_needs_real_broadcast;
+        tc "zero recompute interval rejected" r2c2_rejects_zero_recompute_interval;
+        tc "zero reselect interval rejected" r2c2_rejects_zero_reselect_interval;
+        tc "zero digest interval rejected" r2c2_rejects_zero_digest_interval;
         tc "per-node control is fair" r2c2_per_node_long_flows_fair;
         tc "host-limited flow frees its share" r2c2_host_limited_flow;
         tc "dynamic API: chained request/response" dynamic_chained_flows;
