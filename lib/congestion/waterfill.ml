@@ -154,193 +154,6 @@ let allocate_reference ?headroom ~capacities flows =
   List.iter (fun idx -> fill_round ~remaining ~rates flows idx) (by_priority flows);
   U.of_floats rates
 
-(* -- efficient variant (§4.2) ------------------------------------------- *)
-
-(* Min-heap on float keys with insertion-order tie-breaking; payloads carry
-   a version for lazy deletion. *)
-module Fheap = struct
-  type 'a t = { mutable keys : float array; mutable vals : 'a array; mutable len : int }
-
-  let create dummy = { keys = Array.make 64 0.0; vals = Array.make 64 dummy; len = 0 }
-
-  let push h key v =
-    if h.len = Array.length h.keys then begin
-      let keys = Array.make (2 * h.len) 0.0 and vals = Array.make (2 * h.len) h.vals.(0) in
-      Array.blit h.keys 0 keys 0 h.len;
-      Array.blit h.vals 0 vals 0 h.len;
-      h.keys <- keys;
-      h.vals <- vals
-    end;
-    h.keys.(h.len) <- key;
-    h.vals.(h.len) <- v;
-    h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while !i > 0 && h.keys.((!i - 1) / 2) > h.keys.(!i) do
-      let p = (!i - 1) / 2 in
-      let k = h.keys.(p) and v' = h.vals.(p) in
-      h.keys.(p) <- h.keys.(!i);
-      h.vals.(p) <- h.vals.(!i);
-      h.keys.(!i) <- k;
-      h.vals.(!i) <- v';
-      i := p
-    done
-
-  let pop h =
-    if h.len = 0 then None
-    else begin
-      let key = h.keys.(0) and v = h.vals.(0) in
-      h.len <- h.len - 1;
-      if h.len > 0 then begin
-        h.keys.(0) <- h.keys.(h.len);
-        h.vals.(0) <- h.vals.(h.len);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let s = ref !i in
-          if l < h.len && h.keys.(l) < h.keys.(!s) then s := l;
-          if r < h.len && h.keys.(r) < h.keys.(!s) then s := r;
-          if !s = !i then continue := false
-          else begin
-            let k = h.keys.(!s) and v' = h.vals.(!s) in
-            h.keys.(!s) <- h.keys.(!i);
-            h.vals.(!s) <- h.vals.(!i);
-            h.keys.(!i) <- k;
-            h.vals.(!i) <- v';
-            i := !s
-          end
-        done
-      end;
-      Some (key, v)
-    end
-end
-
-(* Operation counters for the performance ablation (bench `ablation`).
-   Reset at the top of every allocation so each call reports only its own
-   work. One explicit record — registered domain_local in the lint
-   ownership map (tools/lint/ownership.sexp): sharded domains each keep
-   their own copy; the counters are never read across domains. *)
-type debug_counters = {
-  mutable pops : int;
-  mutable valid : int;
-  mutable scan : int;
-  mutable push : int;
-}
-
-let dbg = { pops = 0; valid = 0; scan = 0; push = 0 }
-
-let reset_debug_counters () =
-  dbg.pops <- 0;
-  dbg.valid <- 0;
-  dbg.scan <- 0;
-  dbg.push <- 0
-
-type event = Link_sat of int (* link *) | Demand_met of int (* flow index *)
-
-(* One priority round, event-driven: a heap orders link saturations and
-   demand caps by fill level. Each link keeps exactly ONE heap entry whose
-   key is a lower bound on its true saturation level (the level can only
-   grow as other flows freeze and stop loading the link). On pop the true
-   level is recomputed: if it moved, the entry is re-inserted at the new
-   key; otherwise the link saturates and its flows freeze. Keeping the
-   heap at O(links) entries keeps every sift in cache, which is what makes
-   this the fast variant. *)
-let fast_round ~remaining ~rates flows indices =
-  let nl = Array.length remaining in
-  let wsum = Array.make nl 0.0 in
-  let last_t = Array.make nl 0.0 in
-  let queued = Array.make nl false in
-  let on_link = Array.make nl [] in
-  let frozen = Array.make (Array.length flows) false in
-  let heap = Fheap.create (Demand_met 0) in
-  let settle l t =
-    if t > last_t.(l) then begin
-      remaining.(l) <- Float.max 0.0 (remaining.(l) -. (wsum.(l) *. (t -. last_t.(l))));
-      last_t.(l) <- t
-    end
-  in
-  let sat_level l =
-    if wsum.(l) > eps then last_t.(l) +. (remaining.(l) /. wsum.(l)) else infinity
-  in
-  List.iter
-    (fun i ->
-      let f = flows.(i) in
-      Array.iter
-        (fun (l, frac) ->
-          wsum.(l) <- wsum.(l) +. (f.weight *. (frac : U.fraction :> float));
-          on_link.(l) <- i :: on_link.(l))
-        f.links)
-    indices;
-  List.iter
-    (fun i ->
-      let f = flows.(i) in
-      Array.iter
-        (fun (l, _) ->
-          if not queued.(l) then begin
-            queued.(l) <- true;
-            dbg.push <- dbg.push + 1;
-            Fheap.push heap (sat_level l) (Link_sat l)
-          end)
-        f.links;
-      match f.demand with
-      | Some d -> Fheap.push heap ((d : U.byte_rate :> float) /. f.weight) (Demand_met i)
-      | None -> ())
-    indices;
-  let active = ref (List.length indices) in
-  let freeze_flow i level =
-    if not frozen.(i) then begin
-      frozen.(i) <- true;
-      rates.(i) <- flows.(i).weight *. level;
-      decr active;
-      Array.iter
-        (fun (l, frac) ->
-          settle l level;
-          wsum.(l) <- Float.max 0.0 (wsum.(l) -. (flows.(i).weight *. (frac : U.fraction :> float))))
-        flows.(i).links
-    end
-  in
-  let rec drain () =
-    if !active > 0 then begin
-      match Fheap.pop heap with
-      | None ->
-          (* No constraining event left: flows with no links get 0. *)
-          List.iter (fun i -> freeze_flow i 0.0) indices
-      | Some (key, Link_sat l) ->
-          dbg.pops <- dbg.pops + 1;
-          let cur = sat_level l in
-          if cur = infinity then () (* no unfrozen flow loads this link *)
-          else if cur > key +. (1e-12 *. (1.0 +. abs_float key)) then begin
-            (* The level moved since this entry was queued; re-insert. *)
-            dbg.push <- dbg.push + 1;
-            Fheap.push heap cur (Link_sat l)
-          end
-          else begin
-            dbg.valid <- dbg.valid + 1;
-            settle l cur;
-            List.iter
-              (fun i ->
-                dbg.scan <- dbg.scan + 1;
-                freeze_flow i cur)
-              on_link.(l)
-          end;
-          drain ()
-      | Some (key, Demand_met i) ->
-          freeze_flow i key;
-          drain ()
-    end
-  in
-  drain ()
-
-let allocate ?headroom ~capacities flows =
-  let headroom = headroom_raw headroom in
-  let capacities = U.floats_of capacities in
-  validate flows capacities;
-  reset_debug_counters ();
-  let rates = Array.make (Array.length flows) 0.0 in
-  let remaining = Array.map (fun c -> c *. (1.0 -. headroom)) capacities in
-  List.iter (fun idx -> fast_round ~remaining ~rates flows idx) (by_priority flows);
-  U.of_floats rates
-
 let link_utilization ~capacities flows rates =
   let capacities = U.floats_of capacities in
   let rates = U.floats_of rates in
@@ -354,14 +167,14 @@ let link_utilization ~capacities flows rates =
   U.of_floats
     (Array.mapi (fun l x -> if capacities.(l) > 0.0 then x /. capacities.(l) else 0.0) load)
 
-(* -- incremental allocator (control-plane hot path) ---------------------- *)
+(* -- efficient variant (§4.2): the one event-driven kernel --------------- *)
 
-(* Epoch recomputation state that lives across calls. Flows are rows of a
-   CSR (compressed sparse row) layout: per-row metadata in flat arrays plus
-   one shared (link id, fraction) pool indexed by [foff]/[flen]. Flow
-   open/close/demand/reroute events patch rows and mark the state dirty; a
-   clean [allocate] is O(1) and a dirty one reuses every buffer, so the
-   steady-state recompute allocates nothing on the hot path. Link storage is
+(* Epoch recomputation state that lives across calls; [allocate] below is
+   one fresh run of it. Flows are rows of a CSR (compressed sparse row)
+   layout: per-row metadata in flat arrays plus one shared (link id,
+   fraction) pool indexed by [foff]/[flen]. Flow open/close/demand/reroute
+   events patch rows and mark the state dirty; a clean [allocate] is O(1)
+   and allocation-free, a dirty one reuses every buffer. Link storage is
    append-only with swap-removed rows leaving garbage; the pool is repacked
    when more than half of it is dead. *)
 module Inc = struct
@@ -403,55 +216,63 @@ module Inc = struct
     mutable hkeys : float array;
     mutable hvals : int array;
     mutable hlen : int;
+    mutable heap_ops : int;  (* pushes + pops over the state's lifetime *)
     mutable prio_counts : int array;  (* counting-sort buffer *)
     mutable dirty : bool;
     mutable computed : bool;
   }
 
-  let create ?headroom ~capacities () =
+  (* A state with room for [rows] flows and [links] (flow, link)
+     incidences before any buffer has to grow. *)
+  let sized ~rows ~links ?headroom ~capacities () =
     let headroom = headroom_raw headroom in
     let capacities = U.floats_of capacities in
     let nl = Array.length capacities in
-    let cap0 = 16 in
+    let rows = max 1 rows and links = max 1 links in
+    (* at most one entry per loaded link plus one per demand-capped row *)
+    let heap = min nl links + rows in
     {
       capacities = Array.copy capacities;
       headroom;
       reserve_prio = 0;
       reserve_frac = 0.0;
-      row_of = Hashtbl.create 64;
+      row_of = Hashtbl.create rows;
       nrows = 0;
-      fid = Array.make cap0 0;
-      fweight = Array.make cap0 0.0;
-      fprio = Array.make cap0 0;
-      fdemand = Array.make cap0 Float.nan;
-      foff = Array.make cap0 0;
-      flen = Array.make cap0 0;
-      lnk_id = Array.make 64 0;
-      lnk_frac = Array.make 64 0.0;
+      fid = Array.make rows 0;
+      fweight = Array.make rows 0.0;
+      fprio = Array.make rows 0;
+      fdemand = Array.make rows Float.nan;
+      foff = Array.make rows 0;
+      flen = Array.make rows 0;
+      lnk_id = Array.make links 0;
+      lnk_frac = Array.make links 0.0;
       lnk_used = 0;
       lnk_live = 0;
-      rates = Array.make cap0 0.0;
-      frozen = Array.make cap0 false;
-      order = Array.make cap0 0;
-      round_of = Array.make cap0 0;
+      rates = Array.make rows 0.0;
+      frozen = Array.make rows false;
+      order = Array.make rows 0;
+      round_of = Array.make rows 0;
       remaining = Array.make nl 0.0;
       wsum = Array.make nl 0.0;
       last_t = Array.make nl 0.0;
       queued = Array.make nl false;
       link_start = Array.make (nl + 1) 0;
       link_fill = Array.make (max nl 1) 0;
-      link_rows = Array.make 64 0;
-      hkeys = Array.make 64 0.0;
-      hvals = Array.make 64 0;
+      link_rows = Array.make links 0;
+      hkeys = Array.make heap 0.0;
+      hvals = Array.make heap 0;
       hlen = 0;
+      heap_ops = 0;
       prio_counts = Array.make 8 0;
       dirty = false;
       computed = false;
     }
 
+  let create ?headroom ~capacities () = sized ~rows:16 ~links:64 ?headroom ~capacities ()
+
   let live_flows t = t.nrows
   let is_dirty t = t.dirty || not t.computed
-  let headroom t = U.fraction t.headroom
+  let heap_ops t = t.heap_ops
 
   let set_headroom t h =
     let h = (h : U.fraction :> float) in
@@ -460,8 +281,6 @@ module Inc = struct
       t.headroom <- h;
       t.dirty <- true
     end
-
-  let class_reserve t = (t.reserve_prio, U.fraction t.reserve_frac)
 
   let set_class_reserve t ~priority ~reserve =
     let r = (reserve : U.fraction :> float) in
@@ -616,14 +435,7 @@ module Inc = struct
 
   (* -- heap: float keys, int payloads, buffers reused across epochs -- *)
 
-  let heap_push t key v =
-    if t.hlen = Array.length t.hkeys then begin
-      t.hkeys <- Array.append t.hkeys (Array.make t.hlen 0.0);
-      t.hvals <- Array.append t.hvals (Array.make t.hlen 0)
-    end;
-    t.hkeys.(t.hlen) <- key;
-    t.hvals.(t.hlen) <- v;
-    t.hlen <- t.hlen + 1;
+  let sift_up t =
     let i = ref (t.hlen - 1) in
     while !i > 0 && t.hkeys.((!i - 1) / 2) > t.hkeys.(!i) do
       let p = (!i - 1) / 2 in
@@ -635,38 +447,46 @@ module Inc = struct
       i := p
     done
 
-  (* Returns the payload, storing the key in [heap_key]; -max_int = empty. *)
-  let heap_key = ref 0.0
+  (* Inlined so the float key is never boxed across a call. *)
+  let[@inline] heap_push t key v =
+    t.heap_ops <- t.heap_ops + 1;
+    if t.hlen = Array.length t.hkeys then begin
+      t.hkeys <- Array.append t.hkeys (Array.make t.hlen 0.0);
+      t.hvals <- Array.append t.hvals (Array.make t.hlen 0)
+    end;
+    t.hkeys.(t.hlen) <- key;
+    t.hvals.(t.hlen) <- v;
+    t.hlen <- t.hlen + 1;
+    sift_up t
 
+  (* Removes the minimum of a non-empty heap and returns its payload;
+     callers read its key from [hkeys.(0)] first. *)
   let heap_pop t =
-    if t.hlen = 0 then min_int
-    else begin
-      let key = t.hkeys.(0) and v = t.hvals.(0) in
-      t.hlen <- t.hlen - 1;
-      if t.hlen > 0 then begin
-        t.hkeys.(0) <- t.hkeys.(t.hlen);
-        t.hvals.(0) <- t.hvals.(t.hlen);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let s = ref !i in
-          if l < t.hlen && t.hkeys.(l) < t.hkeys.(!s) then s := l;
-          if r < t.hlen && t.hkeys.(r) < t.hkeys.(!s) then s := r;
-          if !s = !i then continue := false
-          else begin
-            let k = t.hkeys.(!s) and v' = t.hvals.(!s) in
-            t.hkeys.(!s) <- t.hkeys.(!i);
-            t.hvals.(!s) <- t.hvals.(!i);
-            t.hkeys.(!i) <- k;
-            t.hvals.(!i) <- v';
-            i := !s
-          end
-        done
-      end;
-      heap_key := key;
-      v
-    end
+    t.heap_ops <- t.heap_ops + 1;
+    let v = t.hvals.(0) in
+    t.hlen <- t.hlen - 1;
+    if t.hlen > 0 then begin
+      t.hkeys.(0) <- t.hkeys.(t.hlen);
+      t.hvals.(0) <- t.hvals.(t.hlen);
+      let i = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let s = ref !i in
+        if l < t.hlen && t.hkeys.(l) < t.hkeys.(!s) then s := l;
+        if r < t.hlen && t.hkeys.(r) < t.hkeys.(!s) then s := r;
+        if !s = !i then continue := false
+        else begin
+          let k = t.hkeys.(!s) and v' = t.hvals.(!s) in
+          t.hkeys.(!s) <- t.hkeys.(!i);
+          t.hvals.(!s) <- t.hvals.(!i);
+          t.hkeys.(!i) <- k;
+          t.hvals.(!i) <- v';
+          i := !s
+        end
+      done
+    end;
+    v
 
   (* Stable counting sort of live rows by priority into [order]; also
      assigns [round_of] (the rank of each row's priority). Falls back to a
@@ -747,26 +567,48 @@ module Inc = struct
       done
     done
 
-  (* One priority round over order[lo..hi): the same event-driven algorithm
-     as [fast_round], on the CSR layout. The transpose spans all rounds, so
-     the saturation scan skips rows of other rounds ([round_of]); earlier
-     rounds are frozen, later ones not yet filling. *)
+  (* Lazy per-link settlement and freezing, inlined like [heap_push] so
+     fill levels never cross a call boxed. *)
+  let[@inline] settle t l lvl =
+    if lvl > t.last_t.(l) then begin
+      t.remaining.(l) <-
+        Float.max 0.0 (t.remaining.(l) -. (t.wsum.(l) *. (lvl -. t.last_t.(l))));
+      t.last_t.(l) <- lvl
+    end
+
+  let[@inline] sat_level t l =
+    if t.wsum.(l) > eps then t.last_t.(l) +. (t.remaining.(l) /. t.wsum.(l)) else infinity
+
+  (* Freezes row [r] at fill level [lvl]; false if it already was. *)
+  let[@inline] freeze t r lvl =
+    if t.frozen.(r) then false
+    else begin
+      t.frozen.(r) <- true;
+      t.rates.(r) <- t.fweight.(r) *. lvl;
+      for j = t.foff.(r) to t.foff.(r) + t.flen.(r) - 1 do
+        let l = t.lnk_id.(j) in
+        settle t l lvl;
+        t.wsum.(l) <- Float.max 0.0 (t.wsum.(l) -. (t.fweight.(r) *. t.lnk_frac.(j)))
+      done;
+      true
+    end
+
+  (* One priority round over order[lo..hi), event-driven: a heap orders
+     link saturations and demand caps by fill level. Each link keeps exactly
+     ONE heap entry whose key is a lower bound on its true saturation level
+     (the level can only grow as other flows freeze and stop loading the
+     link). On pop the true level is recomputed: if it moved, the entry is
+     re-inserted at the new key; otherwise the link saturates and its flows
+     freeze. Keeping the heap at O(links) entries keeps every sift in cache,
+     which is what makes this the fast variant. The transpose spans all
+     rounds, so the saturation scan skips rows of other rounds
+     ([round_of]); earlier rounds are frozen, later ones not yet filling. *)
   let round_inc t ~round lo hi =
     let nl = Array.length t.capacities in
     Array.fill t.wsum 0 nl 0.0;
     Array.fill t.last_t 0 nl 0.0;
     Array.fill t.queued 0 nl false;
     t.hlen <- 0;
-    let settle l lvl =
-      if lvl > t.last_t.(l) then begin
-        t.remaining.(l) <-
-          Float.max 0.0 (t.remaining.(l) -. (t.wsum.(l) *. (lvl -. t.last_t.(l))));
-        t.last_t.(l) <- lvl
-      end
-    in
-    let sat_level l =
-      if t.wsum.(l) > eps then t.last_t.(l) +. (t.remaining.(l) /. t.wsum.(l)) else infinity
-    in
     for k = lo to hi - 1 do
       let r = t.order.(k) in
       for j = t.foff.(r) to t.foff.(r) + t.flen.(r) - 1 do
@@ -780,53 +622,42 @@ module Inc = struct
         let l = t.lnk_id.(j) in
         if not t.queued.(l) then begin
           t.queued.(l) <- true;
-          dbg.push <- dbg.push + 1;
-          heap_push t (sat_level l) l
+          (* [sat_level] spelled out: its if-joined result would be boxed. *)
+          if t.wsum.(l) > eps then heap_push t (t.last_t.(l) +. (t.remaining.(l) /. t.wsum.(l))) l
+          else heap_push t infinity l
         end
       done;
       if not (Float.is_nan t.fdemand.(r)) then
         heap_push t (t.fdemand.(r) /. t.fweight.(r)) (-(r + 1))
     done;
     let active = ref (hi - lo) in
-    let freeze r lvl =
-      if not t.frozen.(r) then begin
-        t.frozen.(r) <- true;
-        t.rates.(r) <- t.fweight.(r) *. lvl;
-        decr active;
-        for j = t.foff.(r) to t.foff.(r) + t.flen.(r) - 1 do
-          let l = t.lnk_id.(j) in
-          settle l lvl;
-          t.wsum.(l) <- Float.max 0.0 (t.wsum.(l) -. (t.fweight.(r) *. t.lnk_frac.(j)))
-        done
-      end
-    in
     while !active > 0 do
-      let v = heap_pop t in
-      if v = min_int then
+      if t.hlen = 0 then
         (* No constraining event left: link-less flows get 0. *)
         for k = lo to hi - 1 do
-          freeze t.order.(k) 0.0
+          if freeze t t.order.(k) 0.0 then decr active
         done
-      else if v >= 0 then begin
-        let l = v and key = !heap_key in
-        dbg.pops <- dbg.pops + 1;
-        let cur = sat_level l in
-        if cur = infinity then ()
-        else if cur > key +. (1e-12 *. (1.0 +. abs_float key)) then begin
-          dbg.push <- dbg.push + 1;
-          heap_push t cur l
+      else begin
+        let key = t.hkeys.(0) in
+        let v = heap_pop t in
+        if v >= 0 then begin
+          let l = v in
+          let cur = sat_level t l in
+          if cur = infinity then ()
+          else if cur > key +. (1e-12 *. (1.0 +. abs_float key)) then heap_push t cur l
+          else begin
+            settle t l cur;
+            (* Descending row order: the freeze order (and so the float
+               rounding of the per-link weight sums) that every pinned
+               output was captured with. *)
+            for p = t.link_start.(l + 1) - 1 downto t.link_start.(l) do
+              let r = t.link_rows.(p) in
+              if t.round_of.(r) = round && freeze t r cur then decr active
+            done
+          end
         end
-        else begin
-          dbg.valid <- dbg.valid + 1;
-          settle l cur;
-          for p = t.link_start.(l) to t.link_start.(l + 1) - 1 do
-            let r = t.link_rows.(p) in
-            dbg.scan <- dbg.scan + 1;
-            if t.round_of.(r) = round then freeze r cur
-          done
-        end
+        else if freeze t (-v - 1) key then decr active
       end
-      else freeze (-v - 1) !heap_key
     done
 
   let compute t =
@@ -867,7 +698,6 @@ module Inc = struct
 
   let allocate t =
     if t.dirty || not t.computed then begin
-      reset_debug_counters ();
       compute t;
       t.dirty <- false;
       t.computed <- true
@@ -881,21 +711,14 @@ module Inc = struct
     done
 end
 
-let bottleneck_fill ~capacities flows =
-  let capacities = U.floats_of capacities in
-  let nl = Array.length capacities in
-  let wsum = Array.make nl 0.0 in
-  Array.iter
-    (fun f ->
-      Array.iter
-        (fun (l, frac) -> wsum.(l) <- wsum.(l) +. (f.weight *. (frac : U.fraction :> float)))
-        f.links)
+(* One fresh run of the kernel. Flow [i] becomes row [i] — [flow.id] is
+   opaque and may repeat — so rates are read back by position. *)
+let allocate ?headroom ~capacities flows =
+  let links = Array.fold_left (fun n f -> n + Array.length f.links) 0 flows in
+  let inc = Inc.sized ~rows:(Array.length flows) ~links ?headroom ~capacities () in
+  Array.iteri
+    (fun i f ->
+      Inc.add_flow ~weight:f.weight ~priority:f.priority ?demand:f.demand inc ~id:i f.links)
     flows;
-  let fill = ref infinity in
-  for l = 0 to nl - 1 do
-    if wsum.(l) > eps then begin
-      let step = capacities.(l) /. wsum.(l) in
-      if step < !fill then fill := step
-    end
-  done;
-  U.byte_rate !fill
+  Inc.allocate inc;
+  U.of_floats (Array.sub inc.Inc.rates 0 (Array.length flows))

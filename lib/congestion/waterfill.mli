@@ -45,7 +45,10 @@ val allocate :
     This is the paper's "efficient variant of the water-filling algorithm"
     (§4.2): saturation events are processed from a heap with lazy per-link
     settlement, so the cost is near-linear in the total number of
-    (flow, link) incidences rather than iterations times links. *)
+    (flow, link) incidences rather than iterations times links. It is one
+    fresh run of {!Inc}: flow [i] is added as row [i] ([id] is not
+    consulted, so repeated ids are fine), and validation — including the
+    [Invalid_argument] messages — is {!Inc.create}'s and {!Inc.add_flow}'s. *)
 
 val allocate_reference :
   ?headroom:Util.Units.fraction ->
@@ -65,22 +68,18 @@ val link_utilization :
 (** [link_utilization ~capacities flows rates] is each link's load divided
     by its capacity; for checking feasibility in tests. *)
 
-val bottleneck_fill :
-  capacities:Util.Units.byte_rate array -> flow array -> Util.Units.byte_rate
-(** Fill level at which the first link saturates when all flows rise
-    together — the single-iteration core of progressive filling, exposed
-    for the channel-load analysis. *)
-
 (** Incremental epoch recomputation (§3.3.4).
 
     [Inc.t] keeps the allocator's inputs — flow rows in a flat CSR layout —
     and all water-filling working buffers alive across epochs. Flow
     open/close/demand/reroute events patch single rows and mark the state
     dirty; {!Inc.allocate} on a clean state returns the cached rates in
-    O(1), and on a dirty state recomputes with every buffer reused, so a
-    steady-state recompute performs no per-epoch array or list allocation.
-    Results are bit-compatible with {!allocate} up to floating-point noise
-    and property-tested against {!allocate_reference}. *)
+    O(1) without allocating, and on a dirty state recomputes with every
+    buffer reused (the working arrays only grow when the flow or incidence
+    count outgrows them). {!allocate} is one fresh run of this kernel, so
+    an [Inc.t] whose rows hold the same flows in the same order (no
+    removal has swapped a later row forward) gives bit-identical rates;
+    both are property-tested against {!allocate_reference}. *)
 module Inc : sig
   type t
 
@@ -116,7 +115,7 @@ module Inc : sig
   val allocate : t -> unit
   (** Recompute rates if any event arrived since the last call; otherwise a
       no-op (the O(1) clean-epoch path — it performs no heap operation, as
-      the debug counters can verify). *)
+      {!heap_ops} can verify, and allocates nothing). *)
 
   val rate : t -> id:int -> Util.Units.byte_rate
   (** The flow's rate from the last {!allocate} (0 for flows added since). *)
@@ -128,16 +127,14 @@ module Inc : sig
   val is_dirty : t -> bool
   val mem : t -> id:int -> bool
 
-  val headroom : t -> Util.Units.fraction
+  val heap_ops : t -> int
+  (** Heap pushes plus pops performed by this state's recomputations so
+      far — the event-processing work of the kernel, for tests. *)
 
   val set_headroom : t -> Util.Units.fraction -> unit
   (** Retune the reserved capacity fraction — the graceful-degradation knob
       under control-plane loss. Same range contract as {!create}; a changed
       value marks the state dirty, an unchanged one keeps it clean. *)
-
-  val class_reserve : t -> int * Util.Units.fraction
-  (** Current [(priority threshold, reserved fraction)]; fraction 0 when
-      disabled (the default). *)
 
   val set_class_reserve : t -> priority:int -> reserve:Util.Units.fraction -> unit
   (** Per-class headroom reservation (overload backpressure): withhold
@@ -147,22 +144,3 @@ module Inc : sig
       allocations are then bit-identical to a state without the feature).
       A changed value marks the state dirty. *)
 end
-
-(**/**)
-
-(** Operation counters for the performance ablation. One explicit record
-    rather than loose refs: it is registered [domain_local] in the lint
-    ownership map (each domain will keep its own copy once the engine is
-    sharded). *)
-type debug_counters = {
-  mutable pops : int;
-  mutable valid : int;
-  mutable scan : int;
-  mutable push : int;
-}
-
-val dbg : debug_counters
-
-val reset_debug_counters : unit -> unit
-(** Zero the four counters; {!allocate} and a dirty {!Inc.allocate} also
-    reset them on entry so each measurement reports one computation. *)

@@ -1407,6 +1407,8 @@ let create cfg topo =
   if cfg.mtu <= header then invalid_arg "R2c2_sim: mtu must exceed the header size";
   if cfg.control = Per_node && not cfg.real_broadcast then
     invalid_arg "R2c2_sim: Per_node control builds its views from real broadcasts";
+  if cfg.control = Per_node && U.compare_q cfg.class_reserve U.zero > 0 then
+    invalid_arg "R2c2_sim: Per_node control does not apply class_reserve";
   if cfg.reliable_bcast && not cfg.real_broadcast then
     invalid_arg "R2c2_sim: reliable_bcast needs real broadcasts to protect";
   if cfg.recompute_interval_ns <= 0 then

@@ -80,7 +80,10 @@ type config = {
           this priority *)
   class_reserve : Util.Units.fraction;
       (** link-capacity fraction withheld from those classes, [0, 1);
-          0 (the default) disables the reservation *)
+          0 (the default) disables the reservation. [Global_epoch] only:
+          [Per_node] senders allocate with {!Congestion.Waterfill.allocate},
+          which has no reserve, so {!create} rejects a non-zero value
+          there *)
   engine_backend : Engine.backend;
       (** event-queue implementation; [Calendar] (the default) is the O(1)
           wheel, [Binary_heap] the reference queue kept for differential
@@ -209,9 +212,10 @@ type t
 val create : config -> Topology.t -> t
 (** A fresh rack simulation at time 0. Raises [Invalid_argument] on an
     inconsistent config, including a non-positive [recompute_interval_ns],
-    [reselect_interval_ns] or (with [reliable_bcast]) [digest_interval_ns]:
-    the periodic loop would reschedule itself at the same instant
-    forever. *)
+    [reselect_interval_ns] or (with [reliable_bcast]) [digest_interval_ns]
+    (the periodic loop would reschedule itself at the same instant
+    forever), and [Per_node] control with a non-zero [class_reserve] (the
+    reserve would silently not apply). *)
 
 val engine : t -> Engine.t
 (** The simulation clock; use [Engine.at]/[Engine.after] to script events

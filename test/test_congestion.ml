@@ -118,6 +118,54 @@ let invalid_inputs_rejected () =
         (allocate ~headroom:1.0 ~capacities:[| 1.0 |]
            [| wf ~id:0 [| (0, 1.0) |] |]))
 
+(* [flow.id] is opaque: [allocate] must answer by position even when ids
+   repeat, exactly as it does for the same flows under distinct ids. *)
+let repeated_ids_answer_by_position () =
+  let links = [| [| (0, 1.0); (1, 1.0) |]; [| (1, 1.0) |]; [| (0, 1.0) |] |] in
+  let same = allocate ~capacities:[| 10.0; 4.0 |] (Array.map (fun l -> wf ~id:7 l) links) in
+  let distinct = allocate ~capacities:[| 10.0; 4.0 |] (Array.mapi (fun id l -> wf ~id l) links) in
+  Alcotest.(check (array (float 1e-9))) "by position" [| 2.0; 2.0; 8.0 |] same;
+  Alcotest.(check (array (float 0.0))) "ids not consulted" distinct same
+
+(* Bit-exact pin of [allocate] on seeded 4x4x4-torus instances: three
+   priority classes, a quarter of the flows demand-capped, non-unit
+   weights, and every flow routed towards one of eight hot destinations so
+   links are shared by many flows. Every rate is printed with %h. It pins
+   the kernel's freeze order on a saturated link (descending row), which
+   decides the float rounding of the per-link weight sums: an ascending
+   walk changes the digest. *)
+let allocate_bit_exact_pin () =
+  let topo = Topology.torus [| 4; 4; 4 |] in
+  let ctx = Routing.make topo in
+  let h = Topology.host_count topo in
+  let capacities = Array.make (Topology.link_count topo) 1.25 in
+  let protocols = [| Routing.Rps; Routing.Dor; Routing.Vlb; Routing.Wlb |] in
+  let buf = Buffer.create 16384 in
+  List.iter
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let flows =
+        Array.init 96 (fun id ->
+            let dst = 8 * Util.Rng.int rng 8 in
+            let src = (dst + 1 + Util.Rng.int rng (h - 1)) mod h in
+            let links = Routing.fractions ctx (Util.Rng.pick rng protocols) ~src ~dst in
+            let weight = 0.5 +. Util.Rng.float rng 2.0 in
+            let priority = Util.Rng.int rng 3 in
+            let demand =
+              if Util.Rng.int rng 4 = 0 then Some (U.byte_rate (Util.Rng.float rng 0.4)) else None
+            in
+            Congestion.Waterfill.flow ~weight ~priority ?demand ~id links)
+      in
+      Array.iter
+        (fun r -> Buffer.add_string buf (Printf.sprintf "%h\n" r))
+        (allocate ~headroom:0.05 ~capacities flows))
+    [ 1; 2; 3; 4 ];
+  let s = Buffer.contents buf in
+  Alcotest.(check int) "pinned length" 5777 (String.length s);
+  Alcotest.(check string)
+    "pinned digest" "e1ba18c82e2f44b89a8d4db2853b7a10"
+    (Digest.to_hex (Digest.string s))
+
 (* Random instances for the property tests. *)
 let gen_instance =
   QCheck.Gen.(
@@ -299,6 +347,8 @@ let suites =
         tc "fractional link loads" fractional_load;
         tc "empty flow list" empty_flow_list;
         tc "invalid inputs rejected" invalid_inputs_rejected;
+        tc "repeated ids answer by position" repeated_ids_answer_by_position;
+        tc "bit-exact pin on seeded 4x4x4 instances" allocate_bit_exact_pin;
         QCheck_alcotest.to_alcotest qcheck_capacity_feasible;
         QCheck_alcotest.to_alcotest qcheck_fast_equals_reference;
         QCheck_alcotest.to_alcotest qcheck_fast_equals_reference_dense;

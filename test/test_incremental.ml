@@ -1,7 +1,7 @@
 (* Tests for the incremental allocator (Waterfill.Inc): differential
    property tests against the reference progressive-filling oracle on
-   randomized churn sequences, clean-epoch O(1) behaviour via the debug
-   counters, and the per-call counter-reset contract. *)
+   randomized churn sequences, the clean-epoch O(1) path (no heap
+   operation) and allocation-free clean and dirty epochs. *)
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -117,36 +117,48 @@ let clean_epoch_zero_heap_ops () =
     Congestion.Waterfill.Inc.add_flow inc ~id (random_links ctx rng)
   done;
   Congestion.Waterfill.Inc.allocate inc;
-  Alcotest.(check bool) "dirty epoch pushed events" true (Congestion.Waterfill.dbg.push > 0);
+  let ops = Congestion.Waterfill.Inc.heap_ops inc in
+  Alcotest.(check bool) "dirty epoch used the heap" true (ops > 0);
   let before = Array.init 50 (fun id -> inc_rate inc ~id) in
   (* Re-announcing the demand a flow already has keeps the epoch clean. *)
   Congestion.Waterfill.Inc.set_demand inc ~id:3 None;
   Alcotest.(check bool) "still clean" false (Congestion.Waterfill.Inc.is_dirty inc);
-  Congestion.Waterfill.reset_debug_counters ();
   Congestion.Waterfill.Inc.allocate inc;
-  Alcotest.(check int) "zero heap pushes" 0 Congestion.Waterfill.dbg.push;
-  Alcotest.(check int) "zero heap pops" 0 Congestion.Waterfill.dbg.pops;
+  Alcotest.(check int) "zero heap operations" ops (Congestion.Waterfill.Inc.heap_ops inc);
   Array.iteri
     (fun id r ->
       Alcotest.(check (float 0.0)) (Printf.sprintf "rate %d unchanged" id) r (inc_rate inc ~id))
     before
 
-(* The ablation counters must report one computation per call, not a
-   running total across calls. *)
-let counters_reset_per_allocate () =
-  let capacities = caps [| 10.0; 4.0 |] in
-  let flows =
-    [|
-      Congestion.Waterfill.flow ~id:0 (lk [| (0, 1.0); (1, 1.0) |]);
-      Congestion.Waterfill.flow ~id:1 (lk [| (1, 1.0) |]);
-      Congestion.Waterfill.flow ~id:2 (lk [| (0, 1.0) |]);
-    |]
-  in
-  ignore (Congestion.Waterfill.allocate ~capacities flows);
-  let first = Congestion.Waterfill.dbg.push in
-  Alcotest.(check bool) "pushes counted" true (first > 0);
-  ignore (Congestion.Waterfill.allocate ~capacities flows);
-  Alcotest.(check int) "identical second measurement" first Congestion.Waterfill.dbg.push
+(* Neither epoch path allocates: a clean epoch costs no minor-heap words,
+   and once the arena has grown to the flow set neither does a dirty one
+   (here dirtied by a headroom retune, which itself allocates nothing). *)
+let allocate_zero_minor_words () =
+  let topo = Topology.torus [| 4; 4 |] in
+  let ctx = Routing.make topo in
+  let capacities = Array.make (Topology.link_count topo) (U.byte_rate 1.25) in
+  let inc = Congestion.Waterfill.Inc.create ~headroom:(U.fraction 0.05) ~capacities () in
+  let rng = Util.Rng.create 11 in
+  for id = 0 to 63 do
+    Congestion.Waterfill.Inc.add_flow inc ~id (random_links ctx rng)
+  done;
+  Congestion.Waterfill.Inc.allocate inc;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Congestion.Waterfill.Inc.allocate inc
+  done;
+  Alcotest.(check (float 0.0)) "clean: zero minor words" 0.0 (Gc.minor_words () -. before);
+  let lo = U.fraction 0.05 and hi = U.fraction 0.1 in
+  let ops = Congestion.Waterfill.Inc.heap_ops inc in
+  let before = Gc.minor_words () in
+  for i = 1 to 100 do
+    Congestion.Waterfill.Inc.set_headroom inc (if i land 1 = 0 then lo else hi);
+    Congestion.Waterfill.Inc.allocate inc
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "dirty epochs recomputed" true
+    (Congestion.Waterfill.Inc.heap_ops inc > ops);
+  Alcotest.(check (float 0.0)) "dirty: zero minor words" 0.0 words
 
 let dirty_tracking_lifecycle () =
   let capacities = caps [| 1.0 |] in
@@ -195,7 +207,7 @@ let suites =
       [
         tc "matches reference across 200 churn sequences" inc_matches_reference_on_churn;
         tc "clean epoch performs zero heap operations" clean_epoch_zero_heap_ops;
-        tc "debug counters reset per allocate call" counters_reset_per_allocate;
+        tc "clean and dirty epochs allocate nothing" allocate_zero_minor_words;
         tc "dirty tracking across open/close" dirty_tracking_lifecycle;
         tc "input validation" inc_input_validation;
       ] );

@@ -542,6 +542,20 @@ let r2c2_per_node_needs_real_broadcast () =
     (Invalid_argument "R2c2_sim: Per_node control builds its views from real broadcasts")
     (fun () -> ignore (Sim.R2c2_sim.run cfg topo []))
 
+(* Per_node senders allocate with [Waterfill.allocate], which has no class
+   reserve: a non-zero [class_reserve] would silently do nothing there. *)
+let r2c2_per_node_rejects_class_reserve () =
+  let cfg =
+    {
+      Sim.R2c2_sim.default_config with
+      control = Sim.R2c2_sim.Per_node;
+      class_reserve = Util.Units.fraction 0.2;
+    }
+  in
+  Alcotest.check_raises "rejected"
+    (Invalid_argument "R2c2_sim: Per_node control does not apply class_reserve")
+    (fun () -> ignore (Sim.R2c2_sim.create cfg (Topology.torus [| 3; 3 |])))
+
 (* A non-positive period would reschedule its loop at the same instant
    forever, so simulated time never advances; [create] refuses it. *)
 let rejects_period name cfg =
@@ -917,6 +931,7 @@ let suites =
         tc "weights respected end-to-end" r2c2_respects_weights;
         tc "per-node control completes and matches" r2c2_per_node_control;
         tc "per-node requires real broadcasts" r2c2_per_node_needs_real_broadcast;
+        tc "per-node rejects class reserve" r2c2_per_node_rejects_class_reserve;
         tc "zero recompute interval rejected" r2c2_rejects_zero_recompute_interval;
         tc "zero reselect interval rejected" r2c2_rejects_zero_reselect_interval;
         tc "zero digest interval rejected" r2c2_rejects_zero_digest_interval;

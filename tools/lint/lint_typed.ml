@@ -51,7 +51,7 @@
    bindings are values, not state — but a function whose definition
    spine carries `let r = ref … in fun …` captures that ref forever,
    so those count too. Registry items are dotted paths as a reader
-   would write them: `Congestion.Waterfill.dbg`. *)
+   would write them: `R2c2.Stack.default_config`. *)
 
 type ownership = Domain_local | Shard_owned | Shared_readonly
 
@@ -70,9 +70,9 @@ let ownership_name = function
 
 (* `tools/lint/ownership.sexp` is a list of entries:
 
-       ((item Congestion.Waterfill.dbg)
-        (class domain_local)
-        (why "debug counters; each domain keeps its own"))
+       ((item R2c2.Stack.default_config)
+        (class shared_readonly)
+        (why "config template; never written after module init"))
 
    Parsed with a ~60-line reader rather than a sexp library (the repo
    deliberately has no ppx / sexplib dependency). A semicolon starts a
@@ -375,11 +375,11 @@ module SSet = Set.Make (String)
    [scopes] is the chain of enclosing module prefixes at the point of
    reference, innermost first, each ending in '.', with "" last. The
    fixpoint set stores fully-qualified declaration names, but a typed
-   reference to a unit-local type is a bare `Pident` ("debug_counters",
-   not "Congestion.Waterfill.debug_counters"), and a reference to a
-   sibling submodule's type is qualified only up to the unit ("Inc.t");
-   qualifying the head with each enclosing prefix in turn resolves both
-   spellings the way the scoping rules do. *)
+   reference to a unit-local type is a bare `Pident` ("config", not
+   "R2c2.Stack.config"), and a reference to a sibling submodule's type
+   is qualified only up to the unit ("Inc.t"); qualifying the head with
+   each enclosing prefix in turn resolves both spellings the way the
+   scoping rules do. *)
 let rec ty_mentions muts scopes depth (ty : Types.type_expr) =
   depth < 40
   &&
@@ -471,7 +471,7 @@ let binding_var (p : Typedtree.pattern) =
   | _ -> None
 
 type inv_item = {
-  i_name : string;  (* registry key: "Congestion.Waterfill.dbg" *)
+  i_name : string;  (* registry key: "R2c2.Stack.default_config" *)
   i_file : string;
   i_line : int;
   i_why_mutable : string;  (* human-readable: the type, or the captured binding *)
