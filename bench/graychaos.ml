@@ -39,11 +39,13 @@ let cable topo v = fst (Topology.out_links topo v).(0)
 let mk_sim ~size ~interval =
   let topo = Topology.torus dims in
   let h = Topology.host_count topo in
-  (* Global-epoch control at the paper's 512-node scale (a per-node
-     waterfill for all 512 views every rate epoch is minutes of wall
-     clock; the Per_node rejoin path runs at test scale in
-     test_robustness.ml). Reliable broadcast is on: the crash-restart
-     rejoin protocol rides the digest / NACK / replay machinery. *)
+  (* Global-epoch control at the paper's 512-node scale. Reliable
+     Per_node costs about 1.4x as much on this torus's permutation
+     traffic (EXPERIMENTS.md), but switching modes moves every outcome
+     this bench pins, so it is a re-pin of its own. The Per_node rejoin
+     path runs at test scale in test_robustness.ml. Reliable broadcast
+     is on: the crash-restart rejoin protocol rides the digest / NACK /
+     replay machinery. *)
   let cfg =
     {
       Sim.R2c2_sim.default_config with

@@ -1,20 +1,31 @@
 (* Reliable-broadcast bookkeeping: per-(source, tree) sequence numbers on
    the sending side, receive windows with gap detection and dedup on the
-   receiving side, and the deterministic state hash that anti-entropy
-   digests carry. Pure data structures — timers, packets and topology live
-   with the caller (R2c2_sim / Stack), which keeps this logic reusable by
-   both the packet simulator and the application-level control plane. *)
+   receiving side, and the live-flow set hash that anti-entropy digests
+   carry. Pure data structures — timers, packets and topology live with the
+   caller (R2c2_sim / Stack), which keeps this logic reusable by both the
+   packet simulator and the application-level control plane. *)
 
-(* -- deterministic state hash -------------------------------------------- *)
+(* -- live-flow set hash --------------------------------------------------- *)
 
-let fnv_offset = 0xCBF29CE484222325L
-let fnv_prime = 0x100000001B3L
+(* A SplitMix64-style finaliser cut to 63 bits: an offset, then two
+   xorshift-multiply rounds with odd multipliers. Every step is a
+   bijection of the native int, and only id [-0x1e3779b97f4a7c15] maps
+   to 0. *)
+let mix id =
+  let z = id + 0x1e3779b97f4a7c15 in
+  let z = (z lxor (z lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
+  z lxor (z lsr 31)
 
-let hash_fold h v = Int64.mul (Int64.logxor h (Int64.of_int v)) fnv_prime
+let add_id tbl id v =
+  let n = Hashtbl.length tbl in
+  Hashtbl.replace tbl id v;
+  if Hashtbl.length tbl > n then mix id else 0
 
-(* Order-sensitive, so callers must feed ids sorted ascending (the
-   accessors below do). *)
-let hash_ids ids = List.fold_left hash_fold fnv_offset ids
+let remove_id tbl id =
+  let n = Hashtbl.length tbl in
+  Hashtbl.remove tbl id;
+  if Hashtbl.length tbl < n then -mix id else 0
 
 (* -- origin (sender) side ------------------------------------------------- *)
 
@@ -24,6 +35,7 @@ type 'a origin = {
   next : int array;  (* per tree: next sequence number to assign *)
   logs : (int, 'a) Hashtbl.t array;  (* per tree: seq -> payload replay log *)
   live : (int, unit) Hashtbl.t;  (* authoritative live-flow id set *)
+  mutable live_hash : int;  (* set hash of [live] *)
   mutable epoch : int;
   mutable inc : int;  (* incarnation: bumped by crash-restart, not by digests *)
 }
@@ -37,6 +49,7 @@ let origin ?(log_cap = 65536) ~trees () =
     next = Array.make trees 0;
     logs = Array.init trees (fun _ -> Hashtbl.create 16);
     live = Hashtbl.create 16;
+    live_hash = 0;
     epoch = 0;
     inc = 0;
   }
@@ -62,11 +75,10 @@ let replay o ~tree ~seq =
   check_tree o tree;
   Hashtbl.find_opt o.logs.(tree) seq
 
-let mark_live o id = Hashtbl.replace o.live id ()
-let mark_dead o id = Hashtbl.remove o.live id
+let mark_live o id = o.live_hash <- o.live_hash + add_id o.live id ()
+let mark_dead o id = o.live_hash <- o.live_hash + remove_id o.live id
 let live_ids o = Array.to_list (Util.Tbl.sorted_keys ~cmp:Int.compare o.live)
-let live_count o = Hashtbl.length o.live
-let state_hash o = hash_ids (live_ids o)
+let state_hash o = o.live_hash
 
 let bump_epoch o =
   o.epoch <- o.epoch + 1;
@@ -84,6 +96,7 @@ let restart o =
   Array.fill o.next 0 (Array.length o.next) 0;
   Array.iter Hashtbl.reset o.logs;
   Hashtbl.reset o.live;
+  o.live_hash <- 0;
   o.epoch <- o.epoch + 1;
   o.inc <- o.inc + 1;
   o.inc

@@ -6,8 +6,8 @@
 
     - the {e origin} stamps each broadcast with a per-(source, tree)
       monotonic sequence number, keeps a bounded replay log for answering
-      NACKs, and maintains the authoritative live-flow set whose hash rides
-      in anti-entropy digests;
+      NACKs, and maintains the authoritative live-flow set whose
+      {!state_hash} rides in anti-entropy digests;
     - the {e receive windows} (one per (source, tree) at every node, all
       in one flat table) deliver packets exactly once in sequence order,
       buffer reordered arrivals, surface gaps for NACK-based repair and
@@ -18,6 +18,21 @@
     simulator ([Sim.R2c2_sim]) and the application-level control plane
     ([R2c2.Stack]). Payloads are polymorphic — the simulator stores compact
     event ids, the stack stores decoded {!Wire.broadcast} records. *)
+
+(** {2 Live-flow set hash}
+
+    The one hash every copy of a live-flow set is compared by: the wrapping
+    native-int sum, over the ids, of a bijective SplitMix64-style mix. It
+    is commutative, so holders keep it up to date instead of sorting the
+    set; the empty set hashes to 0. Sets differing by one id, or by one id
+    on each side, never collide: no id [>= 0] mixes to 0. *)
+
+val add_id : (int, 'v) Hashtbl.t -> int -> 'v -> int
+(** Bind the id (replacing any binding) and return the change of the set
+    hash of the table's keys: the id's term if it is new, else 0. *)
+
+val remove_id : (int, 'v) Hashtbl.t -> int -> int
+(** Unbind the id; minus its term if it was present, else 0. *)
 
 (** {2 Origin (sender) side} *)
 
@@ -48,9 +63,8 @@ val mark_dead : 'a origin -> int -> unit
 val live_ids : 'a origin -> int list
 (** The live-flow ids, ascending — the payload of a full-state sync. *)
 
-val live_count : 'a origin -> int
-val state_hash : 'a origin -> int64
-(** {!hash_ids} of {!live_ids} — what digests advertise. *)
+val state_hash : 'a origin -> int
+(** The set hash of {!live_ids}, kept up to date — what digests advertise. *)
 
 val bump_epoch : 'a origin -> int
 (** Advance and return the anti-entropy epoch counter. *)
@@ -177,9 +191,3 @@ val generation : 'a table -> int -> int
 val wipe_receiver : 'a table -> receiver:int -> unit
 (** Crash or restart of [receiver]: every one of its windows becomes
     fresh, duplicate count and buffer included. *)
-
-(** {2 Deterministic state hash} *)
-
-val hash_ids : int list -> int64
-(** FNV-1a over the ids; callers feed them sorted ascending so every node
-    hashes identical sets to identical values. *)

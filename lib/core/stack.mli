@@ -161,9 +161,9 @@ val on_broadcast_seq : t -> (bytes -> unit) -> unit
 val last_seq : t -> tree:int -> int
 (** Last sequence number sent on a tree; -1 if none. *)
 
-val matrix_hash : t -> int64
-(** Hash of the open-flow id set ({!Rbcast.hash_ids}); equals
-    {!View.matrix_hash} of every consistent replica. *)
+val matrix_hash : t -> int
+(** The {!Rbcast.state_hash} of the open-flow ids; equals {!View.matrix_hash}
+    of every consistent replica. Digests carry it sign-extended to 64 bits. *)
 
 val emit_digests : ?src:int -> t -> Wire.digest list
 (** One anti-entropy beacon round: bumps the epoch and returns a digest

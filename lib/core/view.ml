@@ -13,6 +13,7 @@ type t = {
   trees : int;
   windows : (Wire.broadcast * int) Rbcast.table;
   flows : (int, Wire.broadcast) Hashtbl.t;  (* believed-live id -> record *)
+  mutable hash : int;  (* Rbcast set hash of [flows]' ids *)
   mutable applied : int;
 }
 
@@ -22,6 +23,7 @@ let create ~trees () =
     trees;
     windows = Rbcast.table ~origins:1 ~trees ~receivers:1;
     flows = Hashtbl.create 32;
+    hash = 0;
     applied = 0;
   }
 
@@ -30,11 +32,11 @@ let win t tree = Rbcast.win t.windows ~origin:0 ~tree ~receiver:0
 let apply_event t (pkt, flow) =
   t.applied <- t.applied + 1;
   match pkt.Wire.event with
-  | Wire.Flow_finish -> Hashtbl.remove t.flows flow
+  | Wire.Flow_finish -> t.hash <- t.hash + Rbcast.remove_id t.flows flow
   | Wire.Flow_start | Wire.Demand_update | Wire.Route_change ->
       (* Every event carries the full flow record, so a view can
          (re)materialize a flow from any of them. *)
-      Hashtbl.replace t.flows flow pkt
+      t.hash <- t.hash + Rbcast.add_id t.flows flow pkt
 
 let observe_incarnation t ~inc =
   match Rbcast.observe_origin_incarnation t.windows (win t 0) ~inc with
@@ -45,6 +47,7 @@ let observe_incarnation t ~inc =
          window positions, advertised highs, the believed flow set — is
          void. Every window re-keyed above. *)
       Hashtbl.reset t.flows;
+      t.hash <- 0;
       `Reset
 
 type verdict =
@@ -95,7 +98,7 @@ let apply_batch t bytes =
 let flow_ids t = Array.to_list (Util.Tbl.sorted_keys ~cmp:Int.compare t.flows)
 let flow t id = Hashtbl.find_opt t.flows id
 let flow_count t = Hashtbl.length t.flows
-let matrix_hash t = Rbcast.hash_ids (flow_ids t)
+let matrix_hash t = t.hash
 let applied t = t.applied
 
 let duplicates t = Rbcast.total_duplicates t.windows
@@ -129,13 +132,14 @@ let observe_digest t (d : Wire.digest) =
   Rbcast.advertise t.windows (win t tree) ~last:d.Wire.last_seq;
   if Rbcast.next_expected t.windows (win t tree) <= d.Wire.last_seq then
     Gaps (missing t ~tree)
-  else if caught_up t && matrix_hash t <> d.Wire.state_hash then Diverged
+  else if caught_up t && Int64.of_int t.hash <> d.Wire.state_hash then Diverged
   else Synced
 
 let sync t ~flows ~last_seqs =
   if Array.length last_seqs <> t.trees then invalid_arg "View.sync: last_seqs";
   Hashtbl.reset t.flows;
-  List.iter (fun (id, pkt) -> Hashtbl.replace t.flows id pkt) flows;
+  t.hash <- 0;
+  List.iter (fun (id, pkt) -> t.hash <- t.hash + Rbcast.add_id t.flows id pkt) flows;
   Array.iteri
     (fun tree last ->
       Rbcast.fast_forward t.windows (win t tree) ~next:(last + 1);

@@ -63,8 +63,9 @@ val sync : t -> flows:(int * Wire.broadcast) list -> last_seqs:int array -> unit
     every window past [last_seqs]; events buffered beyond the sync still
     apply. *)
 
-val matrix_hash : t -> int64
-(** Hash of the believed live-flow ids ({!Rbcast.hash_ids}). *)
+val matrix_hash : t -> int
+(** The {!Rbcast} set hash of the believed live-flow ids, kept up to date
+    as they change; compared with a digest's [state_hash] sign-extended. *)
 
 val flow_ids : t -> int list
 (** Believed-live flow ids, ascending. *)

@@ -111,7 +111,7 @@ val digest_root : t -> packet -> int
 val digest_tree : t -> packet -> int
 val digest_epoch : t -> packet -> int
 val digest_last_seq : t -> packet -> int
-val digest_hash : t -> packet -> int64
+val digest_hash : t -> packet -> int
 val nack_root : t -> packet -> int
 val nack_tree : t -> packet -> int
 val nack_from : t -> packet -> int
@@ -200,7 +200,7 @@ val send_bcast :
     the origin incarnation after crash-restarts. *)
 
 val send_digest_tree :
-  t -> root:int -> tree:int -> epoch:int -> last_seq:int -> hash:int64 -> bytes:int -> unit
+  t -> root:int -> tree:int -> epoch:int -> last_seq:int -> hash:int -> bytes:int -> unit
 (** Inject a periodic anti-entropy beacon at its root, tree-forwarded like
     a broadcast. *)
 

@@ -193,8 +193,10 @@ type t = {
   cap_bytes_ns : float;  (** link capacity, wire bytes per ns (hot path, raw) *)
   capacities : U.byte_rate array;
   active : (int, fstate) Hashtbl.t;
-  all_states : (int, fstate) Hashtbl.t;  (** for per-node views that may lag *)
+  all_states : (int, fstate) Hashtbl.t;  (** only grows: every id in a view is here *)
   views : (int, unit) Hashtbl.t array;  (** per-node traffic-matrix views (Per_node) *)
+  view_totals : int array;  (** per node: {!Rbcast} set hash of its view *)
+  view_slices : int array;  (** reliable: the same per (node, origin), see [slice] *)
   bcast_seen : (int, int ref) Hashtbl.t;
       (** receipt counters: flow idx * 2 for start, * 2 + 1 for finish *)
   on_complete : (int, int -> unit) Hashtbl.t;
@@ -307,6 +309,28 @@ let flow_done_sending t st =
 
 let win t ~node ~root ~tree = Rbcast.win t.rx ~origin:root ~tree ~receiver:node
 
+(* -- per-node views (Per_node) ---------------------------------------------- *)
+
+(* Where node [node] keeps the hash of its view of [root]'s flows. *)
+let slice t ~node ~root = (node * Array.length t.views) + root
+
+(* Every write to a view goes through these two, which keep the node's
+   hashes in step with it. [d] is 0 exactly when the view did not change:
+   no id >= 0 has a zero term. *)
+let view_mark t ~node id ~live =
+  let view = t.views.(node) in
+  let d = if live then Rbcast.add_id view id () else Rbcast.remove_id view id in
+  t.view_totals.(node) <- t.view_totals.(node) + d;
+  if d <> 0 && reliable t then begin
+    let k = slice t ~node ~root:(Hashtbl.find t.all_states id).src in
+    t.view_slices.(k) <- t.view_slices.(k) + d
+  end
+
+let view_reset t ~node =
+  Hashtbl.reset t.views.(node);
+  t.view_totals.(node) <- 0;
+  if reliable t then Array.fill t.view_slices (slice t ~node ~root:0) (Array.length t.views) 0
+
 (* JOIN announcements ride the broadcast fabric under a sentinel id well
    clear of flow events (ids >= 0) and batched reselection announcements
    (small negatives). *)
@@ -331,8 +355,7 @@ let apply_bcast_event t ~node bcast_id =
   if t.cfg.control = Per_node && bcast_id >= 0 then begin
     let flow = bcast_id / 2 in
     t.epoch_dirty <- true;
-    if bcast_id land 1 = 0 then Hashtbl.replace t.views.(node) flow ()
-    else Hashtbl.remove t.views.(node) flow
+    view_mark t ~node flow ~live:(bcast_id land 1 = 0)
   end;
   match Hashtbl.find_opt t.bcast_seen bcast_id with
   | None -> ()
@@ -440,17 +463,20 @@ let send_sync t ~root ~requester =
     Net.release_route t.net route
   end
 
+(* Drop every flow sourced at [root] from the node's view; true if any. *)
+let drop_slice t ~node ~root =
+  let n = Hashtbl.length t.views.(node) in
+  Array.iter
+    (fun id ->
+      if (Hashtbl.find t.all_states id).src = root then view_mark t ~node id ~live:false)
+    (Util.Tbl.sorted_keys ~cmp:Int.compare t.views.(node));
+  Hashtbl.length t.views.(node) < n
+
 let apply_sync t ~node ~root ~entries ~last_seqs =
   if t.cfg.control = Per_node && Net.node_up t.net node then begin
-    let view = t.views.(node) in
     (* Replace the per-source slice of the view with the origin's truth. *)
-    Array.iter
-      (fun id ->
-        match Hashtbl.find_opt t.all_states id with
-        | Some st when st.src = root -> Hashtbl.remove view id
-        | _ -> ())
-      (Util.Tbl.sorted_keys ~cmp:Int.compare view);
-    List.iter (fun id -> Hashtbl.replace view id ()) entries;
+    ignore (drop_slice t ~node ~root);
+    List.iter (fun id -> view_mark t ~node id ~live:true) entries;
     t.epoch_dirty <- true;
     (* Jump every window past what the sync covers; events buffered beyond
        it are strictly newer and still apply. *)
@@ -462,42 +488,17 @@ let apply_sync t ~node ~root ~entries ~last_seqs =
       last_seqs
   end
 
-(* The node's believed live-flow set for one origin — what a digest's state
-   hash is checked against. *)
-let per_source_view_ids t ~node ~root =
-  let out = ref [] in
-  Array.iter
-    (fun id ->
-      match Hashtbl.find_opt t.all_states id with
-      | Some st when st.src = root -> out := id :: !out
-      | _ -> ())
-    (Util.Tbl.sorted_keys ~cmp:Int.compare t.views.(node));
-  List.rev !out
-
-(* Drop every flow sourced at [src] from the node's view — a restarted
-   [src] lost them all, and anything still real arrives again through the
-   fresh incarnation's stream. *)
-let purge_view_of t ~node ~src =
-  let view = t.views.(node) in
-  Array.iter
-    (fun id ->
-      match Hashtbl.find_opt t.all_states id with
-      | Some st when st.src = src ->
-          Hashtbl.remove view id;
-          t.epoch_dirty <- true
-      | _ -> ())
-    (Util.Tbl.sorted_keys ~cmp:Int.compare view)
-
 (* A JOIN announcement from a restarted node: re-key every window for that
    root to the new incarnation (tree 0 speaks for all: the trees of one
    origin at one receiver are always keyed alike) — wiping the pre-crash window state, which
    would otherwise absorb the fresh sequence space as duplicates — and
-   forget the joiner's pre-crash flows. The joiner pulls full state itself
+   forget the joiner's pre-crash flows (anything still real arrives again
+   on the fresh incarnation's stream). The joiner pulls full state itself
    with snapshot requests, so receivers only reset here. *)
 let handle_join t ~node ~joiner ~inc =
   if reliable t then
     ignore (Rbcast.observe_origin_incarnation t.rx (win t ~node ~root:joiner ~tree:0) ~inc);
-  if t.cfg.control = Per_node then purge_view_of t ~node ~src:joiner
+  if t.cfg.control = Per_node && drop_slice t ~node ~root:joiner then t.epoch_dirty <- true
 
 (* -- data plane: token-bucket pacing and source routing ------------------- *)
 
@@ -606,13 +607,14 @@ let wf_of st =
     st.wf_links
 
 (* Believed flow sets, as ascending id arrays, compared exactly. Buckets
-   hash like [view_hash], but two sets that collide on it stay distinct
-   keys, so a collision can never share rates between them. *)
+   hash with [Hashtbl.hash], which reads only the first ten ids, but two
+   sets that collide on it stay distinct keys, so a collision can never
+   share rates between them. *)
 module Flow_sets = Hashtbl.Make (struct
   type t = int array
 
   let equal (a : int array) b = a = b
-  let hash ids = Hashtbl.hash (Rbcast.hash_ids (Array.to_list ids))
+  let hash (ids : int array) = Hashtbl.hash ids
 end)
 
 let sending_by_node t =
@@ -622,14 +624,12 @@ let sending_by_node t =
     t.active;
   own
 
-(* The flows a node believes exist, ascending: its view, less ids no
-   longer tracked, plus [own] — its still-sending flows, which it always
-   knows (a restart wipes the view, not the sender). *)
+(* The flows a node believes exist, ascending: its view plus [own] — its
+   still-sending flows, which it always knows (a restart wipes the view,
+   not the sender). *)
 let believed_ids t ~node ~own =
   let known =
-    Util.Tbl.fold_sorted ~cmp:Int.compare
-      (fun id () acc -> if Hashtbl.mem t.all_states id then id :: acc else acc)
-      t.views.(node) own
+    Util.Tbl.fold_sorted ~cmp:Int.compare (fun id () acc -> id :: acc) t.views.(node) own
   in
   Array.of_list (List.sort_uniq Int.compare known)
 
@@ -712,26 +712,24 @@ let update_loss_ewma t =
 
 (* -- view-divergence watchdog --------------------------------------------- *)
 
-let view_hash t node =
-  Rbcast.hash_ids
-    (Array.to_list (Util.Tbl.sorted_keys ~cmp:Int.compare t.views.(node)))
+let diverged_nodes t =
+  (* Alive nodes off the modal view hash; [view_totals] is empty unless
+     Per_node. *)
+  let counts = Hashtbl.create 8 and alive = ref 0 in
+  Array.iteri
+    (fun node h ->
+      if Net.node_up t.net node then begin
+        incr alive;
+        Hashtbl.replace counts h (1 + Option.value ~default:0 (Hashtbl.find_opt counts h))
+      end)
+    t.view_totals;
+  !alive - Util.Tbl.fold_sorted ~cmp:Int.compare (fun _ n m -> max n m) counts 0
 
 (* Every rate epoch, compare the traffic-matrix hash across alive nodes.
    Divergent epochs are counted and the span from first divergence to the
    next all-identical epoch is a reconvergence sample. Pure observation —
    repair itself is driven by NACKs and digests. *)
-let views_identical t =
-  let first = ref None and distinct = ref false in
-  Array.iteri
-    (fun node _ ->
-      if Net.node_up t.net node then begin
-        let h = view_hash t node in
-        match !first with
-        | None -> first := Some h
-        | Some h0 -> if h <> h0 then distinct := true
-      end)
-    t.views;
-  not !distinct
+let views_identical t = diverged_nodes t = 0
 
 let note_divergence t =
   if t.cfg.control = Per_node && (t.cfg.reliable_bcast || t.chaos_on) then begin
@@ -913,8 +911,7 @@ let node_caught_up t ~node =
         done;
         if
           t.cfg.control = Per_node
-          && Rbcast.hash_ids (per_source_view_ids t ~node ~root)
-             <> Rbcast.state_hash o
+          && t.view_slices.(slice t ~node ~root) <> Rbcast.state_hash o
         then ok := false
       end)
     t.origins;
@@ -1023,7 +1020,7 @@ let abort_flow t st =
     flow_done_sending t st;
     Hashtbl.remove t.active st.idx;
     Hashtbl.remove t.on_complete st.idx;
-    Array.iter (fun view -> Hashtbl.remove view st.idx) t.views;
+    Array.iteri (fun node _ -> view_mark t ~node st.idx ~live:false) t.views;
     (* The origin's advertised live set must drop the flow too, or every
        digest hash would disagree with the views forever. *)
     if reliable t then Rbcast.mark_dead t.origins.(st.src) st.idx;
@@ -1192,7 +1189,7 @@ let crash_node_at t ~ns u =
     (fun () ->
       Net.fail_node t.net u;
       if reliable t then Rbcast.wipe_receiver t.rx ~receiver:u;
-      if t.cfg.control = Per_node then Hashtbl.reset t.views.(u);
+      if t.cfg.control = Per_node then view_reset t ~node:u;
       Util.Tbl.iter_sorted ~cmp:Int.compare
         (fun _ st ->
           if st.src = u then begin
@@ -1266,7 +1263,7 @@ let restart_node_at t ~ns u =
         Rbcast.wipe_receiver t.rx ~receiver:u;
         ignore (Rbcast.restart t.origins.(u))
       end;
-      if t.cfg.control = Per_node then Hashtbl.reset t.views.(u);
+      if t.cfg.control = Per_node then view_reset t ~node:u;
       Hashtbl.replace t.pending_rejoins u ns;
       let fr =
         {
@@ -1462,6 +1459,11 @@ let create cfg topo =
         (if cfg.control = Per_node then
            Array.init nverts (fun _ -> Hashtbl.create (max 32 nverts))
          else [||]);
+      view_totals = Array.make (if cfg.control = Per_node then nverts else 0) 0;
+      view_slices =
+        Array.make
+          (if cfg.control = Per_node && cfg.reliable_bcast then nverts * nverts else 0)
+          0;
       bcast_seen = Hashtbl.create (max 256 (2 * nverts));
       on_complete = Hashtbl.create 16;  (* one callback per test waiter; measured <= 16 *)
       next_id = 0;
@@ -1595,8 +1597,7 @@ let create cfg topo =
               done;
               if
                 !all_caught_up
-                && Rbcast.hash_ids (per_source_view_ids t ~node ~root)
-                   <> Net.digest_hash net pkt
+                && t.view_slices.(slice t ~node ~root) <> Net.digest_hash net pkt
               then send_nack t ~node ~root ~tree ~from_seq:0 ~to_seq:(-1)
             end
             end
@@ -1634,7 +1635,7 @@ let create cfg topo =
                 if Hashtbl.length t.active = 0 then stamp_reconvergence t;
                 (* The finish broadcast never reaches its own root, but the
                    sender knows its flow ended. *)
-                if cfg.control = Per_node then Hashtbl.remove t.views.(st.src) flow;
+                if cfg.control = Per_node then view_mark t ~node:st.src flow ~live:false;
                 send_flow_broadcast t st Wire.Flow_finish
             | None -> ());
             match Hashtbl.find_opt t.on_complete flow with
@@ -1747,7 +1748,7 @@ let start_flow ?(weight = 1) ?(priority = 0) ?(protocol = Routing.Rps) ?demand_g
   Hashtbl.replace t.all_states idx st;
   t.epoch_dirty <- true;
   (match on_complete with Some k -> Hashtbl.replace t.on_complete idx k | None -> ());
-  if t.cfg.control = Per_node then Hashtbl.replace t.views.(src) idx ();
+  if t.cfg.control = Per_node then view_mark t ~node:src idx ~live:true;
   send_flow_broadcast t st Wire.Flow_start;
   ensure_loop t;
   inject t st;
@@ -1788,28 +1789,6 @@ let node_allocations t ~node =
     invalid_arg "R2c2_sim.node_allocations: Per_node control only";
   let flows, rates = allocate_ids t (believed_ids t ~node ~own:(sending_by_node t).(node)) in
   Array.mapi (fun i st -> (st.idx, rates.(i))) flows
-
-let diverged_nodes t =
-  if t.cfg.control <> Per_node then 0
-  else begin
-    (* Nodes disagreeing with the modal view hash. *)
-    let counts : (int64, int) Hashtbl.t = Hashtbl.create 8 in
-    Array.iteri
-      (fun node _ ->
-        if Net.node_up t.net node then begin
-          let h = view_hash t node in
-          Hashtbl.replace counts h
-            (1 + Option.value ~default:0 (Hashtbl.find_opt counts h))
-        end)
-      t.views;
-    let modal = ref 0 and total = ref 0 in
-    Util.Tbl.iter_sorted ~cmp:Int64.compare
-      (fun _ n ->
-        total := !total + n;
-        if n > !modal then modal := n)
-      counts;
-    !total - !modal
-  end
 
 let dup_events_absorbed t = Rbcast.total_duplicates t.rx
 

@@ -332,10 +332,6 @@ val control_converged : t -> bool
 (** Every alive node is sequence-caught-up with every reachable origin and
     (Per_node) believes exactly the origin's live-flow set. *)
 
-val view_hash : t -> int -> int64
-(** The node's traffic-matrix hash (Per_node) — identical across nodes
-    exactly when their views agree. *)
-
 val diverged_nodes : t -> int
 (** Alive nodes currently disagreeing with the modal view hash; 0 when the
     control plane is consistent (always 0 under [Global_epoch]). *)
@@ -352,8 +348,8 @@ val node_allocations : t -> node:int -> (int * Util.Units.byte_rate) array
 module Flow_sets : Hashtbl.S with type key = int array
 (** Believed flow sets (ascending ids) compared as exact arrays: the key
     of the memo through which a Per_node rate epoch allocates once per
-    distinct set. Buckets hash like {!view_hash}, but sets colliding on it
-    stay distinct keys. *)
+    distinct set. Buckets hash with [Hashtbl.hash] on the array, but sets
+    colliding on it stay distinct keys. *)
 
 val loss_ewma : t -> Util.Units.fraction
 val effective_headroom : t -> Util.Units.fraction

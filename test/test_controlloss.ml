@@ -496,6 +496,126 @@ let loss_ewma_scales_headroom () =
     (Invalid_argument "Stack.note_control_loss") (fun () ->
       R2c2.Stack.note_control_loss st ~sent:1 ~lost:2)
 
+(* -- the live-flow set hash ------------------------------------------------ *)
+
+(* The reference: FNV-1a over the ids in ascending order, an order-sensitive
+   hash that needs the sorted set. Two sets must hash equal under the kept
+   hash exactly when they do under it. *)
+let fnv_reference ids =
+  List.fold_left
+    (fun h v -> Int64.mul (Int64.logxor h (Int64.of_int v)) 0x100000001B3L)
+    0xCBF29CE484222325L (List.sort_uniq Int.compare ids)
+
+(* The set hash recomputed from scratch: a fresh origin marking [ids] in
+   the given order. *)
+let fresh_hash ids =
+  let o = Rbcast.origin ~trees:1 () in
+  List.iter (Rbcast.mark_live o) ids;
+  Rbcast.state_hash o
+
+type set_op =
+  | Start of bool * bool * int  (* to the origin?, to the view?, flow id *)
+  | Finish of bool * bool * int
+  | Restart_origin  (* Rbcast.restart *)
+  | Reset_view  (* View.observe_incarnation with a newer incarnation *)
+  | Sync_view  (* View.sync to the origin's live set *)
+
+let show_set_op =
+  let sides o v = (if o then " o" else "") ^ if v then " v" else "" in
+  function
+  | Start (o, v, id) -> Printf.sprintf "start%s %d" (sides o v) id
+  | Finish (o, v, id) -> Printf.sprintf "finish%s %d" (sides o v) id
+  | Restart_origin -> "restart"
+  | Reset_view -> "reset-view"
+  | Sync_view -> "sync"
+
+(* Ids from a small range, so inserts of present ids and removes of
+   absent ones are common. Case [k] draws its operations from
+   [Util.Rng.create k], so every run checks the same sequences. *)
+let gen_set_ops =
+  let case = ref 0 in
+  fun _ ->
+    incr case;
+    let rng = Util.Rng.create !case in
+    List.init
+      (1 + Util.Rng.int rng 60)
+      (fun _ ->
+        let to_o, to_v = Util.Rng.pick rng [| (true, true); (true, false); (false, true) |] in
+        let id = Util.Rng.int rng 12 in
+        match Util.Rng.int rng 14 with
+        | r when r < 6 -> Start (to_o, to_v, id)
+        | r when r < 11 -> Finish (to_o, to_v, id)
+        | 11 -> Restart_origin
+        | 12 -> Reset_view
+        | _ -> Sync_view)
+
+let event_pkt event =
+  {
+    Wire.event;
+    bsrc = 0;
+    bdst = 1;
+    weight = 1;
+    priority = 0;
+    demand_kbps = 0;
+    tree = 0;
+    rp = Routing.Rps;
+  }
+
+(* An origin and a one-tree view driven by the same random operations,
+   each sometimes applied to one side only: after every step, each kept
+   hash equals the from-scratch hash of its set in ascending and in
+   descending insertion order, and every pair of sets seen so far hashes
+   equal exactly when the FNV reference does. *)
+let qcheck_set_hash_matches_reference =
+  QCheck.Test.make ~name:"kept set hash = from-scratch hash, equal iff FNV reference" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list show_set_op) ~shrink:QCheck.Shrink.list gen_set_ops)
+    (fun ops ->
+      let o = Rbcast.origin ~trees:1 () in
+      let v = R2c2.View.create ~trees:1 () in
+      let seq = ref 0 and inc = ref 0 in
+      let send event flow =
+        match R2c2.View.apply v (Wire.encode_seq_broadcast (event_pkt event) ~flow ~seq:!seq) with
+        | R2c2.View.Applied 1 -> incr seq
+        | R2c2.View.Applied _ | R2c2.View.Duplicate | R2c2.View.Buffered | R2c2.View.Malformed _ ->
+            QCheck.Test.fail_report "view did not apply an in-order event"
+      in
+      let seen = ref [] in
+      let check what kept ids =
+        if kept <> fresh_hash ids then QCheck.Test.fail_reportf "%s: kept <> from scratch" what;
+        if kept <> fresh_hash (List.rev ids) then
+          QCheck.Test.fail_reportf "%s: depends on insertion order" what;
+        let f = fnv_reference ids in
+        List.iter
+          (fun (h, f') ->
+            if (kept = h) <> (f = f') then
+              QCheck.Test.fail_reportf "%s: equal under one hash, not the other" what)
+          !seen;
+        seen := (kept, f) :: !seen
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Start (to_o, to_v, id) ->
+              if to_o then Rbcast.mark_live o id;
+              if to_v then send Wire.Flow_start id
+          | Finish (to_o, to_v, id) ->
+              if to_o then Rbcast.mark_dead o id;
+              if to_v then send Wire.Flow_finish id
+          | Restart_origin -> ignore (Rbcast.restart o)
+          | Reset_view ->
+              incr inc;
+              if R2c2.View.observe_incarnation v ~inc:!inc <> `Reset then
+                QCheck.Test.fail_report "newer incarnation did not reset the view";
+              seq := 0
+          | Sync_view ->
+              R2c2.View.sync v
+                ~flows:(List.map (fun id -> (id, event_pkt Wire.Flow_start)) (Rbcast.live_ids o))
+                ~last_seqs:[| !seq - 1 |]);
+          check "origin" (Rbcast.state_hash o) (Rbcast.live_ids o);
+          check "view" (R2c2.View.matrix_hash v) (R2c2.View.flow_ids v))
+        ops;
+      true)
+
 (* -- packet-level simulation under chaos ----------------------------------- *)
 
 let interval = 100_000
@@ -616,6 +736,57 @@ let staggered_permutation t topo =
          ~size:(100_000 + (i * 37 mod h * 25_000)))
   done
 
+(* The simulator's kept hashes against the FNV reference, recomputed from
+   [node_view_ids] every 25 us of a 2%-loss run: [diverged_nodes] equals
+   the reference count of nodes off the modal view, and [control_converged]
+   never holds while some node's view of an origin's flows differs from
+   that origin's live set. Flow [i] is sourced at node [i] and live at its
+   origin until it completes. *)
+let sim_view_hashes_match_reference () =
+  let topo = Topology.torus [| 4; 4; 4 |] in
+  let h = Topology.host_count topo in
+  let t = Sim.R2c2_sim.create (sim_cfg ~loss:0.02 ()) topo in
+  staggered_permutation t topo;
+  let diverged_samples = ref 0 and converged_samples = ref 0 in
+  let sample () =
+    let m = Sim.R2c2_sim.metrics t in
+    let views = Array.init h (fun node -> Sim.R2c2_sim.node_view_ids t ~node) in
+    let counts = Hashtbl.create 8 in
+    Array.iter
+      (fun ids ->
+        let f = fnv_reference ids in
+        Hashtbl.replace counts f (1 + Option.value ~default:0 (Hashtbl.find_opt counts f)))
+      views;
+    let modal = Util.Tbl.fold_sorted ~cmp:Int64.compare (fun _ n acc -> max n acc) counts 0 in
+    Alcotest.(check int) "diverged nodes = reference" (h - modal)
+      (Sim.R2c2_sim.diverged_nodes t);
+    if h - modal > 0 then incr diverged_samples;
+    let consistent = ref true in
+    Array.iteri
+      (fun node ids ->
+        for root = 0 to h - 1 do
+          let live = if Sim.Metrics.complete m (Sim.Metrics.find m root) then [] else [ root ] in
+          if root <> node && fnv_reference (List.filter (( = ) root) ids) <> fnv_reference live
+          then consistent := false
+        done)
+      views;
+    if Sim.R2c2_sim.control_converged t then begin
+      incr converged_samples;
+      if not !consistent then Alcotest.fail "converged while a view slice differs from its origin"
+    end
+  in
+  let ns = ref 0 in
+  while Sim.Metrics.completed_count (Sim.R2c2_sim.metrics t) < h do
+    ns := !ns + 25_000;
+    Sim.R2c2_sim.run_engine ~until_ns:!ns t;
+    sample ()
+  done;
+  Sim.R2c2_sim.run_engine t;
+  sample ();
+  Alcotest.(check bool) "some sample diverged" true (!diverged_samples > 0);
+  Alcotest.(check bool) "some sample converged" true (!converged_samples > 0);
+  Alcotest.(check bool) "converged at the end" true (Sim.R2c2_sim.control_converged t)
+
 (* Byte-exact snapshot of a lossy Per_node run on a 4x4x4 torus: per-flow
    records, the goodput series and every sampled rate update. At 2%
    control loss the nodes' views disagree in most of the staggered
@@ -672,27 +843,19 @@ let per_node_shares_allocations () =
   Alcotest.(check bool) "fewer allocations than senders" true (r.Sim.R2c2_sim.recomputes < h);
   Alcotest.(check int) "allocations computed" 17 r.Sim.R2c2_sim.recomputes
 
-(* Two sorted id arrays with equal FNV-1a view hashes: solve the second
-   array's last id so the two hash states meet after it. *)
-let view_hash_collision () =
-  let step h v = Int64.mul (Int64.logxor h (Int64.of_int v)) 0x100000001B3L in
-  let start = 0xCBF29CE484222325L in
-  let a = 1 and b = 2 in
-  let rec find a' =
-    let last = Int64.logxor (Int64.of_int b) (Int64.logxor (step start a) (step start a')) in
-    (* [last] must be a non-negative OCaml int above [a']. *)
-    if Int64.shift_right_logical last 62 = 0L && Int64.to_int last > a' then
-      [| a'; Int64.to_int last |]
-    else find (a' + 1)
-  in
-  ([| a; b |], find (a + 1))
+(* Two sorted id arrays with equal [Flow_sets] bucket hashes: [Hashtbl.hash]
+   reads only the first ten ids, so sets that agree on those and differ
+   later collide. *)
+let bucket_hash_collision () =
+  let k1 = Array.init 11 Fun.id in
+  let k2 = Array.copy k1 in
+  k2.(10) <- 12;
+  (k1, k2)
 
 let flow_set_memo_keys_on_exact_ids () =
-  let k1, k2 = view_hash_collision () in
+  let k1, k2 = bucket_hash_collision () in
   Alcotest.(check bool) "distinct sets" true (k1 <> k2);
-  Alcotest.(check int64) "same view hash"
-    (Rbcast.hash_ids (Array.to_list k1))
-    (Rbcast.hash_ids (Array.to_list k2));
+  Alcotest.(check int) "same bucket hash" (Hashtbl.hash k1) (Hashtbl.hash k2);
   let memo = Sim.R2c2_sim.Flow_sets.create 4 in
   Sim.R2c2_sim.Flow_sets.replace memo k1 "k1";
   Sim.R2c2_sim.Flow_sets.replace memo k2 "k2";
@@ -742,6 +905,7 @@ let suites =
         tc "reliability dedups on seq under loss" reliability_dedup_under_loss;
         tc "rbcast window orders and dedups" rbcast_window_orders_and_dedups;
         QCheck_alcotest.to_alcotest qcheck_window_table_matches_oracle;
+        QCheck_alcotest.to_alcotest qcheck_set_hash_matches_reference;
         tc "view NACK repair heals all loss" view_nack_repair_heals_all_loss;
         tc "view batched repair heals all loss" view_batched_repair_heals_all_loss;
         tc "view dedups duplicates" view_dedups_duplicates;
@@ -753,6 +917,7 @@ let suites =
         tc "identical allocations after 2% loss" identical_allocations_after_2pct_loss;
         tc "Per_node golden pin" per_node_golden_pin;
         tc "Per_node shares allocations" per_node_shares_allocations;
+        tc "view hashes match the FNV reference" sim_view_hashes_match_reference;
         tc "flow-set memo keys on exact ids" flow_set_memo_keys_on_exact_ids;
         tc "evicted replay falls back to sync" evicted_replay_falls_back_to_sync;
         tc "blackhole splits control and data" blackhole_splits_control_and_data;

@@ -235,7 +235,7 @@ let r2c2_digest_round_zero_alloc () =
     words_per_hop ~hops:flood_hops (fun () ->
         for root = 0 to 63 do
           for tree = 0 to 3 do
-            Sim.Net.send_digest_tree net ~root ~tree ~epoch:0 ~last_seq:(-1) ~hash:0L
+            Sim.Net.send_digest_tree net ~root ~tree ~epoch:0 ~last_seq:(-1) ~hash:0
               ~bytes:Wire.digest_size
           done
         done;
@@ -246,6 +246,56 @@ let r2c2_digest_round_zero_alloc () =
   Alcotest.(check bool) "still converged" true (Sim.R2c2_sim.control_converged t);
   Alcotest.(check bool)
     (Printf.sprintf "minor words per digest hop ~ 0 (got %.3f)" per_hop)
+    true (per_hop < 0.05)
+
+let r2c2_per_node_digest_round_zero_alloc () =
+  (* Per_node adds the state-hash check to the digest path: a node that is
+     sequence-caught-up with the digest's origin compares the origin's
+     live-flow set hash with the one it keeps for its view of that
+     origin's flows. Sorting the view to recompute that hash on each
+     arrival cost 2,040 words per digest hop here, before the hash was
+     kept up to date (now 0.003: about a dozen words per tick). Every flow
+     stays live (a tiny demand paces it to one packet per 12 s) and rates
+     are never recomputed, so each digest loop tick is the whole of the
+     traffic: one digest per origin, on the one tree that carried its
+     start event. *)
+  let topo = Topology.torus [| 4; 4; 4 |] in
+  let interval = 20_000 in
+  let cfg =
+    {
+      Sim.R2c2_sim.default_config with
+      control = Sim.R2c2_sim.Per_node;
+      reliable_bcast = true;
+      digest_interval_ns = interval;
+      recompute_interval_ns = 1_000_000_000;
+    }
+  in
+  let t = Sim.R2c2_sim.create cfg topo in
+  for i = 0 to 63 do
+    ignore
+      (Sim.R2c2_sim.start_flow t ~demand_gbps:(U.gbps 1e-6) ~src:i ~dst:((i + 33) mod 64)
+         ~size:1_000_000)
+  done;
+  (* Midway between two ticks, past several of them. *)
+  let until = ref ((5 * interval) + (interval / 2)) in
+  Sim.R2c2_sim.run_engine ~until_ns:!until t;
+  Alcotest.(check bool) "converged before the rounds" true (Sim.R2c2_sim.control_converged t);
+  Alcotest.(check int) "every flow in the view" 64
+    (List.length (Sim.R2c2_sim.node_view_ids t ~node:0));
+  let net = Sim.R2c2_sim.net t in
+  let hops0 = Sim.Net.ctrl_hops net in
+  let round_hops = 64 * 63 in
+  let per_hop =
+    words_per_hop ~hops:round_hops (fun () ->
+        until := !until + interval;
+        Sim.R2c2_sim.run_engine ~until_ns:!until t)
+  in
+  Alcotest.(check int) "two rounds of digest hops" (2 * round_hops)
+    (Sim.Net.ctrl_hops net - hops0);
+  Alcotest.(check bool) "still converged" true (Sim.R2c2_sim.control_converged t);
+  Alcotest.(check int) "no sync requested" 0 (Sim.R2c2_sim.results t).Sim.R2c2_sim.sync_requests;
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per Per_node digest hop ~ 0 (got %.3f)" per_hop)
     true (per_hop < 0.05)
 
 let r2c2_reliable_event_hop_zero_alloc () =
@@ -945,6 +995,7 @@ let suites =
         tc "reselection does not regress" r2c2_reselection_not_worse;
         tc "reliable digest round allocates nothing" r2c2_digest_round_zero_alloc;
         tc "reliable event hop allocates nothing" r2c2_reliable_event_hop_zero_alloc;
+        tc "Per_node digest round allocates nothing" r2c2_per_node_digest_round_zero_alloc;
       ] );
     ( "sim.tcp",
       [
